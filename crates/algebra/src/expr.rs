@@ -496,12 +496,6 @@ pub enum AggFunc {
 }
 
 impl AggFunc {
-    /// Whether this aggregate can run over ciphertexts of some scheme:
-    /// SUM/AVG via Paillier, MIN/MAX via OPE, COUNT always.
-    pub fn encrypted_capable(self) -> bool {
-        true // every aggregate has an encrypted realization given the right scheme
-    }
-
     /// Plaintext needed for the aggregate *input* under the default
     /// capability policy.
     pub fn input_plaintext_required(

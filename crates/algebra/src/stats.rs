@@ -245,11 +245,6 @@ impl StatsCatalog {
         self.tables.get(&rel)
     }
 
-    /// Mutable table statistics, if registered.
-    pub fn table_mut(&mut self, rel: RelId) -> Option<&mut TableStats> {
-        self.tables.get_mut(&rel)
-    }
-
     /// Extrapolate statistics collected on a sample population to one
     /// `factor` times larger (TPC-H scale factors: the value domains of
     /// categorical and range columns are scale-invariant, while key-like

@@ -10,8 +10,9 @@
 //! it with `--smoke` and fails on divergence).
 //!
 //! Both execution paths are measured: the concurrent thread-per-subject
-//! runtime (`Simulator::run`) and the sequential reference interpreter
-//! (`Simulator::run_sequential`); the report records their ratio so
+//! runtime (`Session::execute`) and the sequential reference interpreter
+//! (`Session::execute_sequential`), both provisioning fresh keys per
+//! query; the report records their ratio so
 //! the pipeline-parallelism win (or regression) is visible per PR in
 //! `BENCH_dist.json`. With [`ThroughputConfig::session_mode`]
 //! (`--session`), a third phase drives the identical workload through
@@ -29,7 +30,7 @@ use mpq_core::fixtures::RunningExample;
 use mpq_core::keys::{plan_keys, KeyPlan};
 use mpq_core::subjects::Subjects;
 use mpq_crypto::keyring::KeyRing;
-use mpq_dist::{FaultPlan, Session, SessionConfig, SimError, Simulator, TransportKind};
+use mpq_dist::{FaultPlan, Session, SessionConfig, SimError, TransportKind};
 use mpq_exec::{Database, SchemePlan, Table};
 use mpq_planner::stats::{collect_stats, SampleConfig};
 use mpq_planner::{build_scenario, optimize, Scenario, Strategy};
@@ -416,9 +417,11 @@ struct SessionOut {
 /// Which execution path a phase measures.
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Phase {
-    /// `Simulator::run` — fresh Def. 6.1 provisioning per query.
+    /// `Session::execute` after `reset_provisioning` — fresh Def. 6.1
+    /// provisioning per query.
     Concurrent,
-    /// `Simulator::run_sequential` — the reference interpreter.
+    /// `Session::execute_sequential`, also reset per query — the
+    /// reference interpreter.
     Sequential,
     /// `Session::execute` — one persistent session per client and
     /// environment, provisioning amortized across the iterations.
@@ -428,14 +431,14 @@ enum Phase {
     Tcp,
 }
 
-/// Per-client driver state: either fresh-per-run simulators or
-/// persistent sessions, one per environment.
-enum Driver<'a> {
-    Sims(Vec<Simulator<'a>>),
-    Sessions(Vec<Session>),
+/// Per-client driver state: one session per environment, either reset
+/// before every query (fresh provisioning) or persistent.
+struct Driver {
+    sessions: Vec<Session>,
+    fresh: bool,
 }
 
-impl Driver<'_> {
+impl Driver {
     fn run(
         &mut self,
         env_ix: usize,
@@ -443,16 +446,14 @@ impl Driver<'_> {
         user: SubjectId,
         sequential: bool,
     ) -> Result<mpq_dist::Report, mpq_dist::SimError> {
-        match self {
-            Driver::Sims(sims) => {
-                let sim = &mut sims[env_ix];
-                if sequential {
-                    sim.run_sequential(&item.ext, &item.keys, user)
-                } else {
-                    sim.run(&item.ext, &item.keys, user)
-                }
-            }
-            Driver::Sessions(sessions) => sessions[env_ix].execute(&item.ext, &item.keys, user),
+        let session = &mut self.sessions[env_ix];
+        if self.fresh {
+            session.reset_provisioning();
+        }
+        if sequential {
+            session.execute_sequential(&item.ext, &item.keys, user)
+        } else {
+            session.execute(&item.ext, &item.keys, user)
         }
     }
 }
@@ -473,37 +474,29 @@ fn run_phase(wl: &Workload, cfg: &ThroughputConfig, phase: Phase) -> (ModeStats,
                 scope.spawn(move || {
                     let mut out = SessionOut::default();
                     let seed = cfg.seed ^ (session as u64).wrapping_mul(0x9E37_79B9);
-                    let mut driver = if matches!(phase, Phase::Session | Phase::Tcp) {
-                        let mut config = match phase {
-                            Phase::Tcp => SessionConfig::new(seed).transport(TransportKind::Tcp),
-                            _ => SessionConfig::new(seed),
-                        };
-                        if let Some(plan) = &cfg.faults {
-                            config = config.faults(plan.clone());
-                        }
-                        Driver::Sessions(
-                            wl.envs
-                                .iter()
-                                .map(|e| {
-                                    Session::open_with(
-                                        &e.catalog,
-                                        &e.subjects,
-                                        &e.policy,
-                                        &e.db,
-                                        config.clone(),
-                                    )
-                                })
-                                .collect(),
-                        )
-                    } else {
-                        Driver::Sims(
-                            wl.envs
-                                .iter()
-                                .map(|e| {
-                                    Simulator::new(&e.catalog, &e.subjects, &e.policy, &e.db, seed)
-                                })
-                                .collect(),
-                        )
+                    let persistent = matches!(phase, Phase::Session | Phase::Tcp);
+                    let mut config = match phase {
+                        Phase::Tcp => SessionConfig::new(seed).transport(TransportKind::Tcp),
+                        _ => SessionConfig::new(seed),
+                    };
+                    if let (true, Some(plan)) = (persistent, &cfg.faults) {
+                        config = config.faults(plan.clone());
+                    }
+                    let mut driver = Driver {
+                        sessions: wl
+                            .envs
+                            .iter()
+                            .map(|e| {
+                                Session::open_with(
+                                    &e.catalog,
+                                    &e.subjects,
+                                    &e.policy,
+                                    &e.db,
+                                    config.clone(),
+                                )
+                            })
+                            .collect(),
+                        fresh: !persistent,
                     };
                     barrier.wait();
                     for _ in 0..cfg.iters {

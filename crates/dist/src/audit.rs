@@ -30,7 +30,7 @@ pub fn audit_transfer(table: &Table, recipient: &SubjectView) -> Result<(), SimE
     audit_transfer_with(table, recipient, &WorkerPool::global())
 }
 
-/// [`audit_transfer`] on an explicit worker pool (the simulator's party
+/// [`audit_transfer`] on an explicit worker pool (the runtime's party
 /// loops pass theirs so audits share the same thread budget as
 /// execution).
 ///

@@ -20,7 +20,7 @@
 //! [`TransportError::Frame`](crate::transport::TransportError) at the
 //! transport layer, never a panic in a party loop.
 
-use crate::runtime::Msg;
+use crate::runtime::{JobSpec, Msg};
 use mpq_algebra::expr::{AggExpr, AggFunc, ArithOp, CmpOp, DateField, Expr};
 use mpq_algebra::plan::{JoinKind, Operator, QueryPlan};
 use mpq_algebra::value::EncScheme;
@@ -28,7 +28,8 @@ use mpq_algebra::{AttrId, NodeId, RelId, SubjectId, Value};
 use mpq_crypto::bignum::BigUint;
 use mpq_crypto::rsa::{RsaPublic, SignedEnvelope};
 use mpq_exec::{Batch, ColumnVec, SchemePlan, Table, TableSchema};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
+use std::time::Duration;
 
 // ---------------------------------------------------------------------------
 // Primitive writers / reader
@@ -103,6 +104,14 @@ impl<'a> Reader<'a> {
         Some(std::str::from_utf8(self.bytes()?).ok()?.to_string())
     }
 
+    /// A length field read off the wire, clamped to the bytes left:
+    /// every encoded element occupies at least one byte, so no honest
+    /// count exceeds that, and a forged one must not become a huge
+    /// up-front allocation. Sizes every `with_capacity` below.
+    fn cap(&self, n: usize) -> usize {
+        n.min(self.b.len() - self.at)
+    }
+
     /// The whole input must be consumed — trailing garbage is a
     /// malformed frame, not padding.
     fn finish(self) -> Option<()> {
@@ -141,14 +150,14 @@ fn put_table(b: &mut Vec<u8>, t: &Table) {
 
 fn get_table(r: &mut Reader) -> Option<Table> {
     let ncols = r.u32()? as usize;
-    let mut attrs = Vec::with_capacity(ncols);
+    let mut attrs = Vec::with_capacity(r.cap(ncols));
     for _ in 0..ncols {
         attrs.push(AttrId(r.u32()?));
     }
     let nrows = r.u32()? as usize;
-    let mut cols = Vec::with_capacity(ncols);
+    let mut cols = Vec::with_capacity(r.cap(ncols));
     for _ in 0..ncols {
-        let mut col = ColumnVec::with_capacity(nrows);
+        let mut col = ColumnVec::with_capacity(r.cap(nrows));
         for _ in 0..nrows {
             col.push(get_value(r)?);
         }
@@ -323,7 +332,7 @@ fn get_expr(r: &mut Reader) -> Option<Expr> {
         }
         4 => {
             let n = r.u32()? as usize;
-            let mut es = Vec::with_capacity(n);
+            let mut es = Vec::with_capacity(r.cap(n));
             for _ in 0..n {
                 es.push(get_expr(r)?);
             }
@@ -331,7 +340,7 @@ fn get_expr(r: &mut Reader) -> Option<Expr> {
         }
         5 => {
             let n = r.u32()? as usize;
-            let mut es = Vec::with_capacity(n);
+            let mut es = Vec::with_capacity(r.cap(n));
             for _ in 0..n {
                 es.push(get_expr(r)?);
             }
@@ -364,7 +373,7 @@ fn get_expr(r: &mut Reader) -> Option<Expr> {
         10 => {
             let expr = Box::new(get_expr(r)?);
             let n = r.u32()? as usize;
-            let mut list = Vec::with_capacity(n);
+            let mut list = Vec::with_capacity(r.cap(n));
             for _ in 0..n {
                 list.push(get_value(r)?);
             }
@@ -376,7 +385,7 @@ fn get_expr(r: &mut Reader) -> Option<Expr> {
         }
         11 => {
             let n = r.u32()? as usize;
-            let mut branches = Vec::with_capacity(n);
+            let mut branches = Vec::with_capacity(r.cap(n));
             for _ in 0..n {
                 let w = get_expr(r)?;
                 let t = get_expr(r)?;
@@ -421,7 +430,7 @@ fn put_attrs(b: &mut Vec<u8>, attrs: &[AttrId]) {
 
 fn get_attrs(r: &mut Reader) -> Option<Vec<AttrId>> {
     let n = r.u32()? as usize;
-    let mut out = Vec::with_capacity(n);
+    let mut out = Vec::with_capacity(r.cap(n));
     for _ in 0..n {
         out.push(AttrId(r.u32()?));
     }
@@ -554,7 +563,7 @@ fn get_op(r: &mut Reader) -> Option<Operator> {
                 _ => return None,
             };
             let n = r.u32()? as usize;
-            let mut on = Vec::with_capacity(n);
+            let mut on = Vec::with_capacity(r.cap(n));
             for _ in 0..n {
                 let l = AttrId(r.u32()?);
                 let op = get_cmp(r.u8()?)?;
@@ -567,7 +576,7 @@ fn get_op(r: &mut Reader) -> Option<Operator> {
         5 => {
             let keys = get_attrs(r)?;
             let n = r.u32()? as usize;
-            let mut aggs = Vec::with_capacity(n);
+            let mut aggs = Vec::with_capacity(r.cap(n));
             for _ in 0..n {
                 let func = match r.u8()? {
                     0 => AggFunc::Count,
@@ -609,7 +618,7 @@ fn get_op(r: &mut Reader) -> Option<Operator> {
         },
         10 => {
             let n = r.u32()? as usize;
-            let mut keys = Vec::with_capacity(n);
+            let mut keys = Vec::with_capacity(r.cap(n));
             for _ in 0..n {
                 let e = get_expr(r)?;
                 let asc = r.bool()?;
@@ -638,7 +647,9 @@ fn put_plan(b: &mut Vec<u8>, plan: &QueryPlan) {
 
 fn get_plan(r: &mut Reader) -> Option<QueryPlan> {
     let n = r.u32()? as usize;
-    if n == 0 {
+    // Fewer bytes left than nodes claimed: forged, and it must not size
+    // `child_uses` below.
+    if n == 0 || r.cap(n) < n {
         return None;
     }
     let mut plan = QueryPlan::new();
@@ -650,7 +661,7 @@ fn get_plan(r: &mut Reader) -> Option<QueryPlan> {
     let mut child_uses = vec![0u32; n];
     for expect in 0..n {
         let nc = r.u32()? as usize;
-        let mut children = Vec::with_capacity(nc.min(64));
+        let mut children = Vec::with_capacity(r.cap(nc));
         for _ in 0..nc {
             let c = NodeId(r.u32()?);
             if c.index() >= n {
@@ -737,34 +748,10 @@ fn get_rsa_public(r: &mut Reader) -> Option<RsaPublic> {
 }
 
 // ---------------------------------------------------------------------------
-// Remote jobs
+// Job specs
 // ---------------------------------------------------------------------------
 
-/// Everything a remote party needs to execute its share of one query —
-/// the wire projection of the session's `QueryJob`. The client does
-/// all planning; servers re-derive order/parents from the plan and
-/// never see each other's request envelopes or any private RSA key.
-#[derive(Clone, Debug)]
-pub(crate) struct RemoteJob {
-    /// The executable extended plan.
-    pub(crate) plan: QueryPlan,
-    /// Per-attribute encryption schemes.
-    pub(crate) schemes: SchemePlan,
-    /// Attribute → Def. 6.1 cluster-key id.
-    pub(crate) key_of_attr: HashMap<AttrId, u32>,
-    /// Node → executing subject, total over the plan.
-    pub(crate) assignment: HashMap<NodeId, SubjectId>,
-    /// Participating subjects, ascending.
-    pub(crate) participants: Vec<SubjectId>,
-    /// The querying user.
-    pub(crate) user: SubjectId,
-    /// Seed for per-(node, column, row) encryption randomness.
-    pub(crate) exec_seed: u64,
-    /// Receive timeout in milliseconds (0 = wait forever).
-    pub(crate) timeout_ms: u64,
-}
-
-fn put_remote_job(b: &mut Vec<u8>, j: &RemoteJob) {
+fn put_job_spec(b: &mut Vec<u8>, j: &JobSpec) {
     put_plan(b, &j.plan);
     let mut schemes: Vec<(AttrId, EncScheme)> = j.schemes.iter().collect();
     schemes.sort_by_key(|(a, _)| a.0);
@@ -796,16 +783,19 @@ fn put_remote_job(b: &mut Vec<u8>, j: &RemoteJob) {
         put_u32(b, n.0);
         put_u32(b, s.0);
     }
-    put_u32(b, j.participants.len() as u32);
-    for s in &j.participants {
-        put_u32(b, s.0);
+    let mut fused: Vec<NodeId> = j.fused.iter().copied().collect();
+    fused.sort_by_key(|n| n.0);
+    put_u32(b, fused.len() as u32);
+    for n in fused {
+        put_u32(b, n.0);
     }
     put_u32(b, j.user.0);
     put_u64(b, j.exec_seed);
-    put_u64(b, j.timeout_ms);
+    // Milliseconds, 0 = wait forever.
+    put_u64(b, j.timeout.map_or(0, |d| d.as_millis() as u64));
 }
 
-fn get_remote_job(r: &mut Reader) -> Option<RemoteJob> {
+fn get_job_spec(r: &mut Reader) -> Option<JobSpec> {
     let plan = get_plan(r)?;
     let n = r.u32()? as usize;
     let mut schemes = SchemePlan::default();
@@ -821,33 +811,35 @@ fn get_remote_job(r: &mut Reader) -> Option<RemoteJob> {
         schemes.set(a, s);
     }
     let n = r.u32()? as usize;
-    let mut key_of_attr = HashMap::with_capacity(n);
+    let mut key_of_attr = HashMap::with_capacity(r.cap(n));
     for _ in 0..n {
         let a = AttrId(r.u32()?);
         let k = r.u32()?;
         key_of_attr.insert(a, k);
     }
     let n = r.u32()? as usize;
-    let mut assignment = HashMap::with_capacity(n);
+    let mut assignment = HashMap::with_capacity(r.cap(n));
     for _ in 0..n {
         let node = NodeId(r.u32()?);
         let s = SubjectId(r.u32()?);
         assignment.insert(node, s);
     }
     let n = r.u32()? as usize;
-    let mut participants = Vec::with_capacity(n);
+    let mut fused = HashSet::with_capacity(r.cap(n));
     for _ in 0..n {
-        participants.push(SubjectId(r.u32()?));
+        fused.insert(NodeId(r.u32()?));
     }
-    Some(RemoteJob {
+    Some(JobSpec {
         plan,
         schemes,
         key_of_attr,
         assignment,
-        participants,
+        fused,
         user: SubjectId(r.u32()?),
         exec_seed: r.u64()?,
-        timeout_ms: r.u64()?,
+        timeout: Some(r.u64()?)
+            .filter(|&ms| ms > 0)
+            .map(Duration::from_millis),
     })
 }
 
@@ -911,10 +903,9 @@ pub(crate) enum Frame {
         /// Query epoch.
         epoch: u64,
         /// The wire projection of the query job.
-        job: RemoteJob,
-        /// This recipient's signed request envelope (absent only for
-        /// the user's own party, which needs no self-request).
-        envelope: Option<SignedEnvelope>,
+        job: JobSpec,
+        /// This recipient's signed request envelope.
+        envelope: SignedEnvelope,
     },
     /// A party finished its share cleanly (server → coordinator).
     Done {
@@ -993,14 +984,8 @@ pub(crate) fn encode_frame(f: &Frame) -> Vec<u8> {
         } => {
             put_u8(&mut b, 6);
             put_u64(&mut b, *epoch);
-            put_remote_job(&mut b, job);
-            match envelope {
-                Some(e) => {
-                    put_bool(&mut b, true);
-                    put_envelope(&mut b, e);
-                }
-                None => put_bool(&mut b, false),
-            }
+            put_job_spec(&mut b, job);
+            put_envelope(&mut b, envelope);
         }
         Frame::Done { epoch, transfers } => {
             put_u8(&mut b, 7);
@@ -1064,24 +1049,15 @@ pub(crate) fn decode_frame(bytes: &[u8]) -> Option<Frame> {
             id: r.u32()?,
             n: r.bytes()?.to_vec(),
         },
-        6 => {
-            let epoch = r.u64()?;
-            let job = get_remote_job(&mut r)?;
-            let envelope = if r.bool()? {
-                Some(get_envelope(&mut r)?)
-            } else {
-                None
-            };
-            Frame::Execute {
-                epoch,
-                job,
-                envelope,
-            }
-        }
+        6 => Frame::Execute {
+            epoch: r.u64()?,
+            job: get_job_spec(&mut r)?,
+            envelope: get_envelope(&mut r)?,
+        },
         7 => {
             let epoch = r.u64()?;
             let n = r.u32()? as usize;
-            let mut transfers = Vec::with_capacity(n);
+            let mut transfers = Vec::with_capacity(r.cap(n));
             for _ in 0..n {
                 let f = SubjectId(r.u32()?);
                 let t = SubjectId(r.u32()?);
@@ -1224,6 +1200,28 @@ mod tests {
         let mut padded = encode_frame(&Frame::Shutdown);
         padded.push(0);
         assert!(decode_frame(&padded).is_none());
+    }
+
+    #[test]
+    fn forged_lengths_are_rejected_without_allocating() {
+        // A 38-byte table frame claiming u32::MAX rows of one column:
+        // sized by the row count alone, decoding would reserve ~100 GB.
+        let mut b = Vec::new();
+        put_u8(&mut b, 1);
+        put_u64(&mut b, 1);
+        put_u8(&mut b, 0);
+        put_u32(&mut b, 0);
+        put_u32(&mut b, 0);
+        put_u64(&mut b, 0);
+        put_u32(&mut b, 1);
+        put_u32(&mut b, 0);
+        put_u32(&mut b, u32::MAX);
+        assert_eq!(b.len(), 38);
+        assert!(decode_frame(&b).is_none());
+        // The same forgery on a plan's node count.
+        let mut p = Vec::new();
+        put_u32(&mut p, u32::MAX);
+        assert!(get_plan(&mut Reader::new(&p)).is_none());
     }
 
     #[test]

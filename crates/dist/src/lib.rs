@@ -4,22 +4,25 @@
 //! paper's §6 dispatch story — "each subject executes its assigned
 //! sub-query and forwards encrypted results".
 //!
-//! Two entry points share one machinery:
+//! Two deployments run one protocol implementation, the
+//! [`coordinator`] core:
 //!
-//! * [`Session`] — the persistent, multi-query runtime. `open` sets up
-//!   one *party* per subject (RSA envelope keypair, cluster-key ring,
-//!   a local store holding exactly the base relations the subject is
-//!   the data authority of) and spawns one long-lived party loop per
+//! * [`Session`] — every subject in this process. `open` sets up one
+//!   *party* per subject (RSA envelope keypair, cluster-key ring, a
+//!   local store holding exactly the base relations the subject is the
+//!   data authority of) and spawns one long-lived party loop per
 //!   subject; `execute` then runs any number of queries over those
 //!   parties, provisioning Def. 6.1 cluster keys *incrementally*
-//!   through a per-session cache (only clusters the session has never
-//!   seen are generated and shipped — see [`session`]).
-//! * [`Simulator`] — the protocol-faithful one-query view: each `run`
-//!   behaves as its own session, re-provisioning every cluster key
-//!   exactly as Def. 6.1 prescribes for a standalone query. This is
-//!   the entry the paper-fidelity tests drive.
+//!   through the core's cache (only clusters never seen before are
+//!   generated and shipped — see [`session`]).
+//!   [`Session::reset_provisioning`] turns the next query into a
+//!   standalone one that provisions every key afresh.
+//! * [`Coordinator`] — every subject but the user in its own
+//!   [`Server`] process, reached over TCP (see [`remote`]). The same
+//!   core prepares each query; only key delivery travels as control
+//!   frames instead of ring inserts.
 //!
-//! Every query, through either entry, follows the §6 protocol:
+//! Every query, through either deployment, follows the §6 protocol:
 //!
 //! 1. **re-verify the assignment at runtime** — every subject must be
 //!    authorized (Def. 4.1) for the profile of every relation it
@@ -45,11 +48,10 @@
 //! 5. return a [`Report`] with the final (plaintext, for the user)
 //!    result and the bytes-on-the-wire per subject-pair edge.
 //!
-//! [`Session::execute_sequential`] / [`Simulator::run_sequential`]
-//! interpret the same prepared plan bottom-up on the calling thread.
-//! The two paths share all of the preparation (phases 1–3) and produce
-//! bit-identical results and per-edge byte counts — a property the
-//! differential tests lean on.
+//! [`Session::execute_sequential`] interprets the same prepared plan
+//! bottom-up on the calling thread. The two paths share all of the
+//! preparation (phases 1–3) and produce bit-identical results and
+//! per-edge byte counts — a property the differential tests lean on.
 //!
 //! A subject receiving data its view does not permit — or attempting
 //! encryption/decryption with a key it does not hold — aborts the
@@ -58,6 +60,7 @@
 
 pub mod audit;
 pub(crate) mod codec;
+pub mod coordinator;
 pub mod error;
 pub mod fault;
 pub mod remote;
@@ -72,18 +75,14 @@ pub use remote::{Coordinator, Server, ServerConfig};
 pub use session::{Session, SessionConfig, SessionStats};
 pub use transport::{EdgeRecovery, TransportError, TransportKind};
 
-use mpq_algebra::{Catalog, RelId, SubjectId};
-use mpq_core::authz::Policy;
-use mpq_core::extend::ExtendedPlan;
-use mpq_core::keys::KeyPlan;
+use mpq_algebra::SubjectId;
 use mpq_core::subjects::Subjects;
 use mpq_crypto::keyring::KeyRing;
-use mpq_crypto::rsa::{RsaKeypair, RsaPublic};
+use mpq_crypto::rsa::RsaKeypair;
 use mpq_exec::{Database, Table};
 use std::collections::HashMap;
-use std::marker::PhantomData;
 
-/// Paillier modulus size for simulator-generated cluster keys. Small
+/// Paillier modulus size for generated cluster keys. Small
 /// enough to keep runs fast, large enough for the fixed-point encodings
 /// the execution layer produces.
 pub(crate) const PAILLIER_BITS: usize = 256;
@@ -151,163 +150,10 @@ impl Report {
     }
 }
 
-/// One simulated subject: envelope keypair, cluster-key ring, and the
+/// One subject's party: envelope keypair, cluster-key ring, and the
 /// base relations it is the authority of.
 pub(crate) struct Party {
     pub(crate) rsa: RsaKeypair,
     pub(crate) ring: KeyRing,
     pub(crate) store: Database,
-}
-
-/// The one-query-at-a-time view of the distributed runtime.
-///
-/// A `Simulator` is a thin wrapper over a [`Session`] that resets the
-/// session's provisioning cache before every run: each
-/// [`Simulator::run`] provisions fresh Def. 6.1 cluster keys and
-/// re-ships every Paillier public half, exactly as the protocol
-/// prescribes for a standalone query. Party identities (RSA keypairs)
-/// and the party threads persist across runs — they model the
-/// subjects, not the query.
-///
-/// Use a [`Session`] directly when consecutive queries should
-/// *amortize* provisioning instead.
-///
-/// # Example
-///
-/// ```
-/// use mpq_core::fixtures::RunningExample;
-/// use mpq_core::keys::plan_keys;
-/// use mpq_dist::Simulator;
-/// use mpq_exec::Database;
-///
-/// let ex = RunningExample::new();
-/// let mut db = Database::new();
-/// db.load(&ex.catalog, "Hosp", RunningExample::sample_hosp_rows());
-/// db.load(&ex.catalog, "Ins", RunningExample::sample_ins_rows());
-/// let ext = ex.fig7a_extended();
-/// let keys = plan_keys(&ext);
-///
-/// let mut sim = Simulator::new(&ex.catalog, &ex.subjects, &ex.policy, &db, 2026);
-/// let report = sim.run(&ext, &keys, ex.subject("U")).unwrap();
-/// assert!(!report.result.is_empty());
-/// assert!(report.total_bytes() > 0);
-/// ```
-pub struct Simulator<'a> {
-    session: Session,
-    /// The constructor's borrows are cloned into the session (whose
-    /// party threads need `'static` data); the lifetime parameter is
-    /// kept for API stability.
-    _env: PhantomData<&'a ()>,
-}
-
-impl<'a> Simulator<'a> {
-    /// Set up the parties: one per registered subject. Base relations
-    /// of `db` are distributed to their data authorities (a relation
-    /// without a declared authority is held by nobody — executing a
-    /// plan over it fails at that leaf).
-    ///
-    /// Convenience shim over [`Simulator::with_config`] with the
-    /// default configuration (in-proc transport, shared pool,
-    /// pre-flight on).
-    pub fn new(
-        catalog: &'a Catalog,
-        subjects: &'a Subjects,
-        policy: &'a Policy,
-        db: &Database,
-        seed: u64,
-    ) -> Simulator<'a> {
-        Simulator::with_config(catalog, subjects, policy, db, SessionConfig::new(seed))
-    }
-
-    /// Set up the parties with an explicit [`SessionConfig`] — the one
-    /// place all runtime knobs (seed, worker pool, pre-flight,
-    /// transport, receive timeout) live.
-    pub fn with_config(
-        catalog: &'a Catalog,
-        subjects: &'a Subjects,
-        policy: &'a Policy,
-        db: &Database,
-        config: SessionConfig,
-    ) -> Simulator<'a> {
-        Simulator {
-            session: Session::open_with(catalog, subjects, policy, db, config),
-            _env: PhantomData,
-        }
-    }
-
-    /// Deprecated: use [`Simulator::with_config`] with
-    /// [`SessionConfig::with_workers`]. Replaces the shared worker pool
-    /// with a private one of `workers` threads (differential tests
-    /// sweep worker counts; results are identical by construction).
-    pub fn with_workers(mut self, workers: usize) -> Simulator<'a> {
-        self.session = self.session.with_workers(workers);
-        self
-    }
-
-    /// Deprecated: use [`Simulator::with_config`] with
-    /// [`SessionConfig::without_preflight`]. Disables the static
-    /// pre-flight verifier, leaving only the dynamic defenses.
-    pub fn without_preflight(mut self) -> Simulator<'a> {
-        self.session = self.session.without_preflight();
-        self
-    }
-
-    /// Run `ext` across the parties on behalf of `user`, with the
-    /// Def. 6.1 key establishment `keys`, as an independent one-query
-    /// session (full key provisioning, fresh material).
-    ///
-    /// This is the **concurrent** runtime: one party loop per
-    /// participating subject, mailboxes carrying the signed request
-    /// envelopes and result tables, every node executing as soon as its
-    /// operands arrive at its assignee (see [`runtime`]). Results and
-    /// per-edge byte counts are bit-identical to
-    /// [`Simulator::run_sequential`].
-    pub fn run(
-        &mut self,
-        ext: &ExtendedPlan,
-        keys: &KeyPlan,
-        user: SubjectId,
-    ) -> Result<Report, SimError> {
-        self.session.reset_provisioning();
-        self.session.execute(ext, keys, user)
-    }
-
-    /// Run `ext` bottom-up on the calling thread — the reference
-    /// interpreter the concurrent runtime is differentially tested
-    /// against. Same preparation, same results, same byte accounting;
-    /// no pipeline parallelism.
-    pub fn run_sequential(
-        &mut self,
-        ext: &ExtendedPlan,
-        keys: &KeyPlan,
-        user: SubjectId,
-    ) -> Result<Report, SimError> {
-        self.session.reset_provisioning();
-        self.session.execute_sequential(ext, keys, user)
-    }
-
-    /// The RSA public key of a subject (for tests probing the envelope
-    /// layer).
-    pub fn public_key_of(&self, s: SubjectId) -> RsaPublic {
-        self.session.public_key_of(s)
-    }
-
-    /// `true` if `s` currently holds the full cluster key `id`
-    /// (as provisioned by the last [`Simulator::run`]).
-    pub fn holds_key(&self, s: SubjectId, id: u32) -> bool {
-        self.session.holds_key(s, id)
-    }
-
-    /// Revoke the full cluster key `id` from every party, keeping only
-    /// the public aggregation halves. Used by tests to prove that
-    /// decryption without the key fails behaviorally.
-    pub fn revoke_key(&mut self, id: u32) {
-        self.session.revoke_key(id);
-    }
-
-    /// Which base relations a subject stores (the authority
-    /// partitioning computed by [`Simulator::new`]).
-    pub fn stored_relations(&self, s: SubjectId) -> Vec<RelId> {
-        self.session.stored_relations(s)
-    }
 }

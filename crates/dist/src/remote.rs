@@ -14,12 +14,15 @@
 //!    port, announces the querying user and its RSA public key, and
 //!    learns each server's subject id and public key
 //!    (`Frame::Hello`/`Frame::HelloAck`);
-//! 2. **provision** — Def. 6.1 cluster keys are generated client-side
-//!    and shipped to their holders as sealed
-//!    `[[key]_priU]_pubS` envelopes (`Frame::Provision`); computing
-//!    non-holders receive only the public Paillier modulus
-//!    (`Frame::ProvisionPublic`) — enough to aggregate, never to
-//!    decrypt. Private RSA keys never cross the wire in any direction;
+//! 2. **provision** — the [coordinator core](crate::coordinator), the
+//!    same one every in-proc [`Session`](crate::Session) runs, generates
+//!    Def. 6.1 cluster keys client-side and this module's fleet ships
+//!    them to their holders as sealed `[[key]_priU]_pubS` envelopes
+//!    (`Frame::Provision`); computing non-holders receive only the
+//!    public Paillier modulus (`Frame::ProvisionPublic`) — enough to
+//!    aggregate, never to decrypt. Provisioning is incremental: a
+//!    cluster reaches each server once per coordinator, not once per
+//!    query. Private RSA keys never cross the wire in any direction;
 //! 3. **execute** — each participant receives the wire projection of
 //!    the query job plus its signed sub-query request
 //!    (`Frame::Execute`); the signed request *is* the authorization
@@ -43,28 +46,37 @@
 //! authorization). A fault that outlives the budget aborts *the epoch*
 //! with a typed error; the fleet keeps serving the next query.
 //!
+//! Cached provisioning stays sound across reconnects by one rule: after
+//! every successful (re-)hello with a server, the coordinator re-sends
+//! every key delivery it has recorded for that server before any other
+//! frame. Key-ring inserts are idempotent, so a server that reconnected
+//! — or restarted — holds whatever the cache says it holds; a replay
+//! that fails fails the redial.
+//!
 //! The executing machinery is byte-for-byte the session runtime:
 //! `run_query` — the same function the in-process party threads run
 //! — executes each server's share, so every guarantee (receive audit,
 //! epoch isolation, typed transport aborts) carries over. What a
-//! server *cannot* check is the batch-payload equality the simulator's
-//! parties verify (they share the coordinator's memory); opening the
-//! sealed envelope and verifying the user's signature is the honest
-//! remote counterpart.
+//! server *cannot* check is the batch-payload equality in-proc parties
+//! verify (they share the coordinator's memory); opening the sealed
+//! envelope and verifying the user's signature is the honest remote
+//! counterpart.
 
-use crate::codec::{Frame, RemoteJob};
+use crate::codec::Frame;
+use crate::coordinator::{Core, Fleet, Prepared, Seal};
 use crate::error::SimError;
 use crate::fault::{splitmix64, FaultAction, FaultPlan, RetryPolicy};
-use crate::runtime::{broadcast_abort, run_query, Msg, Outcome, PartyMsg, PartyStatic, QueryJob};
-use crate::session::{Prepared, SessionConfig};
+use crate::runtime::{
+    broadcast_abort, panic_text, run_query, JobSpec, Msg, Outcome, PartyMsg, PartyStatic, QueryJob,
+};
+use crate::session::{SessionConfig, SessionStats};
 use crate::transport::{
     Control, EdgeRecovery, FaultState, TcpHub, TcpTransport, Transport, TransportError, Wire,
     WireStats,
 };
-use crate::{Party, Report, PAILLIER_BITS, RSA_BITS};
-use mpq_algebra::{Catalog, NodeId, Operator, SubjectId};
+use crate::{Party, Report, TransportKind, RSA_BITS};
+use mpq_algebra::{Catalog, SubjectId};
 use mpq_core::authz::{Policy, SubjectView};
-use mpq_core::dispatch::dispatch;
 use mpq_core::extend::ExtendedPlan;
 use mpq_core::keys::KeyPlan;
 use mpq_core::subjects::Subjects;
@@ -72,7 +84,7 @@ use mpq_crypto::bignum::BigUint;
 use mpq_crypto::keyring::{ClusterKey, KeyRing};
 use mpq_crypto::paillier::PaillierPublic;
 use mpq_crypto::rsa::{RsaKeypair, RsaPublic, SignedEnvelope};
-use mpq_exec::{assign_schemes, rewrite_literals, Database, WorkerPool};
+use mpq_exec::{Database, WorkerPool};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::HashMap;
@@ -182,11 +194,6 @@ impl Server {
         self.hub.addr()
     }
 
-    /// The subject this server hosts.
-    pub fn subject(&self) -> SubjectId {
-        self.st.me
-    }
-
     /// Serve coordinators until one sends `Frame::Shutdown`. A
     /// coordinator dropping its connection — or damaging it mid-epoch —
     /// returns the server to accepting the next one; provisioned keys
@@ -287,9 +294,7 @@ impl Server {
                     // still open and verify against the session's user
                     // key before anything is replayed.
                     if self.outcomes.contains_key(&epoch) {
-                        let authorized = envelope
-                            .as_ref()
-                            .is_some_and(|env| env.open(&self.st.party.rsa, &pk).is_some());
+                        let authorized = envelope.open(&self.st.party.rsa, &pk).is_some();
                         let reply = if authorized {
                             self.outcomes[&epoch].clone()
                         } else {
@@ -346,69 +351,28 @@ impl Server {
     fn execute(
         &self,
         epoch: u64,
-        job: RemoteJob,
-        envelope: Option<SignedEnvelope>,
+        spec: JobSpec,
+        envelope: SignedEnvelope,
         user_public: &RsaPublic,
         wire: &Wire,
         stash: &mut Vec<(u64, Msg)>,
     ) -> Outcome {
+        // Verified here rather than by run_query: a server cannot know
+        // the expected payload, which in-proc parties compare against
+        // (a shared-memory artifact), so the job carries no envelopes.
+        let qj = QueryJob::new(spec, user_public.clone(), Vec::new(), WorkerPool::global());
         // The signed request is the authorization to compute: it must
-        // open (sealed to us) and verify (signed by the user). The
-        // in-process simulator additionally compares the payload to
-        // the expected batch — a shared-memory artifact a real server
-        // cannot reproduce; signature verification is the honest
-        // remote equivalent.
-        match &envelope {
-            Some(env) => {
-                if env.open(&self.st.party.rsa, user_public).is_none() {
-                    broadcast_abort(wire, epoch, &job.participants, self.st.me);
-                    return Outcome::Failed(SimError::Envelope { to: self.st.me });
-                }
-            }
-            None => {
-                broadcast_abort(wire, epoch, &job.participants, self.st.me);
-                return Outcome::Failed(SimError::Envelope { to: self.st.me });
-            }
+        // open (sealed to us) and verify (signed by the user).
+        if envelope.open(&self.st.party.rsa, user_public).is_none() {
+            broadcast_abort(wire, epoch, &qj.participants, self.st.me);
+            return Outcome::Failed(SimError::Envelope { to: self.st.me });
         }
-        let order = job.plan.postorder();
-        let parents = job.plan.parents();
-        // Recomputed, not shipped: fusion sites are deterministic in
-        // (plan, assignment), so every server and the coordinator
-        // agree on which Encrypts fold into their parent Selects.
-        let fused = crate::session::fusion_sites(&job.plan, &job.assignment);
-        let qj = QueryJob {
-            prepared: Prepared {
-                exec_plan: job.plan,
-                schemes: job.schemes,
-                key_of_attr: job.key_of_attr,
-                order,
-                transfers: HashMap::new(),
-                // Envelope verification happened above; run_query's
-                // own envelope loop has nothing left to check.
-                envelopes: Vec::new(),
-                requests: 0,
-                exec_seed: job.exec_seed,
-                fused,
-            },
-            assignment: job.assignment,
-            parents,
-            participants: job.participants,
-            user: job.user,
-            user_public: user_public.clone(),
-            pool: WorkerPool::global(),
-            timeout: (job.timeout_ms > 0).then(|| Duration::from_millis(job.timeout_ms)),
-        };
         catch_unwind(AssertUnwindSafe(|| {
             run_query(&self.st, &qj, epoch, &self.rx, wire, stash)
         }))
         .unwrap_or_else(|payload| {
             broadcast_abort(wire, epoch, &qj.participants, self.st.me);
-            let m = payload
-                .downcast_ref::<&str>()
-                .map(|s| (*s).to_string())
-                .or_else(|| payload.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "non-string panic payload".to_string());
-            Outcome::Panicked(m)
+            Outcome::Panicked(panic_text(payload))
         })
     }
 }
@@ -420,19 +384,38 @@ const ABORTED_MARK: &str = "aborted: a peer failed first";
 /// The querying user's end of the federated deployment: holds the
 /// user's own party (keys, store partition, data-plane hub), a control
 /// connection to every server, and drives the full §6 protocol per
-/// query.
+/// query through the same [coordinator core](crate::coordinator) an
+/// in-proc [`Session`](crate::Session) uses.
 pub struct Coordinator {
-    user: SubjectId,
-    catalog: Arc<Catalog>,
-    subjects: Arc<Subjects>,
-    views: Vec<SubjectView>,
+    /// The §6 preparation: views, RNG, cluster-key cache, counters.
+    core: Core,
+    /// The user's own party.
     st: PartyStatic,
+    /// The control plane: the remote fleet.
+    link: Link,
+    wire: Wire,
+    wire_stats: Arc<WireStats>,
+    rx: Receiver<PartyMsg>,
+    stash: Vec<(u64, Msg)>,
+    _hub: TcpHub,
+    epoch: u64,
+}
+
+/// The coordinator's control connections — the remote [`Fleet`]: keys
+/// for the user go straight into the user's own ring, keys for a server
+/// travel as control frames.
+struct Link {
+    user: SubjectId,
+    /// The user's own party (its ring receives the user's deliveries).
+    own: Arc<Party>,
     controls: HashMap<SubjectId, Control>,
     server_publics: HashMap<SubjectId, RsaPublic>,
     /// Control addresses, kept for re-dialing a lost connection.
     server_addrs: HashMap<SubjectId, String>,
-    wire: Wire,
-    wire_stats: Arc<WireStats>,
+    /// Every provisioning frame the core's cache records per server,
+    /// re-sent after each (re-)hello so a reconnected or restarted
+    /// server holds what the cache says it holds.
+    provisioned: HashMap<SubjectId, Vec<Frame>>,
     /// Control-plane fault schedule, with its *own* per-edge counters:
     /// the data-plane trace stays a function of data-plane attempts
     /// alone, comparable across transport backends.
@@ -444,15 +427,47 @@ pub struct Coordinator {
     pending_execute: HashMap<SubjectId, Frame>,
     /// Control-plane re-sends and reconnects performed so far.
     ctl_recovered: u64,
-    rx: Receiver<PartyMsg>,
-    stash: Vec<(u64, Msg)>,
-    _hub: TcpHub,
-    rng: StdRng,
-    exec_seed: u64,
-    epoch: u64,
-    pool: WorkerPool,
-    preflight: bool,
+    /// Data-plane receive timeout; control waits add `DONE_SLACK`.
     timeout: Duration,
+}
+
+impl Fleet for Link {
+    fn public_of(&self, s: SubjectId) -> Result<&RsaPublic, SimError> {
+        if s == self.user {
+            return Ok(&self.own.rsa.public);
+        }
+        self.server_publics
+            .get(&s)
+            .ok_or(SimError::Envelope { to: s })
+    }
+
+    fn deliver_key(
+        &mut self,
+        s: SubjectId,
+        key: &ClusterKey,
+        seal: &mut Seal,
+    ) -> Result<(), SimError> {
+        if s == self.user {
+            self.own.ring.insert(key.clone());
+            return Ok(());
+        }
+        let envelope = seal(self.public_of(s)?);
+        self.provision(s, Frame::Provision { envelope })
+    }
+
+    fn deliver_public(
+        &mut self,
+        s: SubjectId,
+        id: u32,
+        public: PaillierPublic,
+    ) -> Result<(), SimError> {
+        if s == self.user {
+            self.own.ring.insert_public(id, public);
+            return Ok(());
+        }
+        let n = public.n.to_bytes_be();
+        self.provision(s, Frame::ProvisionPublic { id, n })
+    }
 }
 
 impl Coordinator {
@@ -464,9 +479,9 @@ impl Coordinator {
     /// servers' own `peers` maps must point back at `listen` for the
     /// user's subject, since result tables flow peer-to-peer. `db` is
     /// the full fixture database — only the user-authority partition
-    /// stays in this process. The [`SessionConfig`] contributes seed,
-    /// pre-flight, and timeout (its transport field is moot: a
-    /// coordinator is TCP by definition).
+    /// stays in this process. The [`SessionConfig`] contributes every
+    /// knob but the transport, which is moot: a coordinator is TCP by
+    /// definition.
     #[allow(clippy::too_many_arguments)]
     pub fn connect(
         catalog: &Catalog,
@@ -478,6 +493,7 @@ impl Coordinator {
         servers: &HashMap<SubjectId, String>,
         config: SessionConfig,
     ) -> Result<Coordinator, SimError> {
+        let config = config.transport(TransportKind::Tcp);
         let mut rng = StdRng::seed_from_u64(config.seed);
         let rsa = RsaKeypair::generate(&mut rng, RSA_BITS);
         let mut store = Database::new();
@@ -488,36 +504,48 @@ impl Coordinator {
                 }
             }
         }
-        let catalog = Arc::new(catalog.clone());
-        let subjects = Arc::new(subjects.clone());
-        let views = policy.all_views(&catalog, &subjects);
+        let core = Core::new(catalog, subjects, policy, rng, &config);
         let (tx, rx) = channel();
         let hub = TcpHub::bind(listen, tx, None).map_err(SimError::Transport)?;
-
+        let own = Arc::new(Party {
+            rsa,
+            ring: KeyRing::new(),
+            store,
+        });
         let st = PartyStatic {
             me: user,
-            catalog: Arc::clone(&catalog),
-            view: views[user.index()].clone(),
-            party: Arc::new(Party {
-                rsa,
-                ring: KeyRing::new(),
-                store,
-            }),
+            catalog: Arc::clone(&core.catalog),
+            view: core.views[user.index()].clone(),
+            party: Arc::clone(&own),
         };
         let plan = config.faults.clone().or_else(FaultPlan::from_env);
         let faults = Arc::new(Mutex::new(FaultState::new(plan.clone())));
         let wire_stats = Arc::new(WireStats::default());
         let backend: Arc<dyn Transport> =
             Arc::new(TcpTransport::new(user, servers.clone(), CONNECT_TIMEOUT));
-        let mut coordinator = Coordinator {
+        let mut link = Link {
             user,
-            catalog,
-            subjects,
-            views,
-            st,
+            own,
             controls: HashMap::new(),
             server_publics: HashMap::new(),
             server_addrs: servers.clone(),
+            provisioned: HashMap::new(),
+            ctl_faults: FaultState::new(plan),
+            retry: config.retry,
+            seed: config.seed,
+            pending_execute: HashMap::new(),
+            ctl_recovered: 0,
+            timeout: core.timeout.unwrap_or(Duration::from_secs(10)),
+        };
+        let mut order: Vec<SubjectId> = servers.keys().copied().collect();
+        order.sort_by_key(|s| s.index());
+        for s in order {
+            link.redial_control(s)?;
+        }
+        Ok(Coordinator {
+            core,
+            st,
+            link,
             wire: Wire::new(
                 user,
                 config.seed,
@@ -527,243 +555,57 @@ impl Coordinator {
                 Arc::clone(&wire_stats),
             ),
             wire_stats,
-            ctl_faults: FaultState::new(plan),
-            retry: config.retry,
-            seed: config.seed,
-            pending_execute: HashMap::new(),
-            ctl_recovered: 0,
             rx,
             stash: Vec::new(),
             _hub: hub,
-            rng,
-            exec_seed: config.seed ^ 0x6d70_715f_6578_6563, // "mpq_exec"
             epoch: 0,
-            pool: match config.workers {
-                Some(n) => WorkerPool::new(n),
-                None => WorkerPool::global(),
-            },
-            preflight: config.preflight,
-            timeout: config
-                .effective_timeout()
-                .unwrap_or(Duration::from_secs(10)),
-        };
-        let mut order: Vec<SubjectId> = servers.keys().copied().collect();
-        order.sort_by_key(|s| s.index());
-        for s in order {
-            coordinator.redial_control(s)?;
-        }
-        Ok(coordinator)
+        })
     }
 
-    /// Run one query across the server processes: re-verify the
-    /// assignment (Def. 4.1 per node), optional static pre-flight,
-    /// full Def. 6.1 provisioning over the wire, signed request
-    /// dispatch, peer-to-peer execution, and report assembly. Each
-    /// query provisions fresh cluster keys, like
-    /// [`Simulator::run`](crate::Simulator::run).
+    /// Run one query across the server processes: the coordinator
+    /// core's §6 preparation (Def. 4.1 re-check, pre-flight,
+    /// incremental Def. 6.1 provisioning over the wire, signed
+    /// requests), then peer-to-peer execution and report assembly.
+    /// Clusters this coordinator already provisioned are re-used, as
+    /// in a [`Session`](crate::Session).
     pub fn execute(&mut self, ext: &ExtendedPlan, keys: &KeyPlan) -> Result<Report, SimError> {
-        let order = ext.plan.postorder();
-        let assignee_of = |id: NodeId| -> Result<SubjectId, SimError> {
-            ext.assignment
-                .get(&id)
-                .copied()
-                .ok_or(SimError::Unassigned(id))
-        };
+        let user = self.st.me;
+        let Prepared {
+            job,
+            request_bytes,
+            requests,
+        } = self
+            .core
+            .prepare(ext, keys, user, &self.st.party.rsa, &mut self.link)?;
 
-        // ---- 1. runtime authorization check (Def. 4.1 per node) ----
-        for &id in &order {
-            let node = ext.plan.node(id);
-            let subject = assignee_of(id)?;
-            if let Operator::Base { rel, .. } = &node.op {
-                let authority = self
-                    .subjects
-                    .authority(*rel)
-                    .ok_or(SimError::NoAuthority(*rel))?;
-                if subject != authority {
-                    return Err(SimError::NotTheAuthority {
-                        node: id,
-                        subject,
-                        authority,
-                    });
-                }
-                continue;
-            }
-            let view = &self.views[subject.index()];
-            for &child in &node.children {
-                if let Err(violation) = view.check(&ext.profiles[child.index()]) {
-                    return Err(SimError::Unauthorized {
-                        node: id,
-                        subject,
-                        violation,
-                    });
-                }
-            }
-            if let Err(violation) = view.check(&ext.profiles[id.index()]) {
-                return Err(SimError::Unauthorized {
-                    node: id,
-                    subject,
-                    violation,
-                });
-            }
-        }
-
-        // ---- 1b. static pre-flight (mpq_core::verify) --------------
-        if self.preflight {
-            let report = mpq_core::verify::verify_extended(
-                ext,
-                keys,
-                &self.catalog,
-                &self.subjects,
-                &self.views,
-                Some(self.user),
-            );
-            if !report.is_clean() {
-                return Err(SimError::Verify(report));
-            }
-        }
-
-        // ---- 2. Def. 6.1 key provisioning over the wire ------------
-        let mut computing = vec![false; self.views.len()];
-        for &id in &order {
-            computing[assignee_of(id)?.index()] = true;
-        }
-        computing[self.user.index()] = true;
-        let mut key_of_attr: HashMap<mpq_algebra::AttrId, u32> = HashMap::new();
-        let dispatcher_ring = KeyRing::new();
-        for (i, plan_key) in keys.keys.iter().enumerate() {
-            let material = ClusterKey::generate(&mut self.rng, i as u32, PAILLIER_BITS);
-            for a in plan_key.attrs.iter() {
-                key_of_attr.insert(a, material.id);
-            }
-            for &holder in &plan_key.holders {
-                if holder == self.user {
-                    self.st.party.ring.insert(material.clone());
-                } else {
-                    let envelope = SignedEnvelope::seal(
-                        &mut self.rng,
-                        &material.to_bytes(),
-                        &self.st.party.rsa,
-                        self.server_publics
-                            .get(&holder)
-                            .ok_or(SimError::Envelope { to: holder })?,
-                    );
-                    self.ctl_send(holder, &Frame::Provision { envelope })?;
-                }
-            }
-            let public_n = material.paillier_public().n.to_bytes_be();
-            for (idx, &computes) in computing.iter().enumerate() {
-                let s = SubjectId::from_index(idx);
-                if !computes || plan_key.holders.contains(&s) {
-                    continue;
-                }
-                if s == self.user {
-                    self.st
-                        .party
-                        .ring
-                        .insert_public(material.id, material.paillier_public());
-                } else {
-                    self.ctl_send(
-                        s,
-                        &Frame::ProvisionPublic {
-                            id: material.id,
-                            n: public_n.clone(),
-                        },
-                    )?;
-                }
-            }
-            if !plan_key.holders.is_empty() {
-                dispatcher_ring.insert(material.clone());
-            }
-        }
-
-        // ---- 3. dispatch: signed, encrypted sub-query requests -----
-        let schemes = assign_schemes(&ext.plan).map_err(|e| SimError::Scheme(e.to_string()))?;
-        let exec_plan = rewrite_literals(
-            &ext.plan,
-            &self.catalog,
-            &schemes,
-            &key_of_attr,
-            &dispatcher_ring,
-            &mut self.rng,
-        )
-        .map_err(SimError::Rewrite)?;
-
-        let d = dispatch(ext, keys, &self.catalog, &self.subjects);
-        let mut batches: Vec<Vec<u8>> = vec![Vec::new(); self.views.len()];
-        for req in &d.requests {
-            let batch = &mut batches[req.subject.index()];
-            if !batch.is_empty() {
-                batch.extend_from_slice(b"\n===\n");
-            }
-            batch.extend_from_slice(req.sql.as_bytes());
-            for key_id in &req.keys {
-                batch.extend_from_slice(format!("\nkey:{key_id}").as_bytes());
-            }
-        }
-        let mut request_bytes: HashMap<(SubjectId, SubjectId), usize> = HashMap::new();
-        let mut envelopes: HashMap<SubjectId, SignedEnvelope> = HashMap::new();
-        for (i, payload) in batches.into_iter().enumerate() {
-            let to = SubjectId::from_index(i);
-            if payload.is_empty() || to == self.user {
-                continue;
-            }
-            let envelope = SignedEnvelope::seal(
-                &mut self.rng,
-                &payload,
-                &self.st.party.rsa,
-                self.server_publics
-                    .get(&to)
-                    .ok_or(SimError::Envelope { to })?,
-            );
-            *request_bytes.entry((self.user, to)).or_default() +=
-                envelope.wrapped_key.len() + envelope.body.len() + envelope.signature.len();
-            envelopes.insert(to, envelope);
-        }
-
-        // ---- 4. Execute frames + the user's own share --------------
+        // ---- Execute frames + the user's own share -----------------
         self.epoch += 1;
         let epoch = self.epoch;
-        let mut is_participant = vec![false; self.views.len()];
-        for id in &order {
-            is_participant[ext.assignment[id].index()] = true;
-        }
-        is_participant[self.user.index()] = true;
-        let participants: Vec<SubjectId> = (0..self.views.len())
-            .map(SubjectId::from_index)
-            .filter(|s| is_participant[s.index()])
-            .collect();
-        let job = RemoteJob {
-            plan: exec_plan,
-            schemes,
-            key_of_attr,
-            assignment: ext.assignment.clone(),
-            participants: participants.clone(),
-            user: self.user,
-            exec_seed: self.exec_seed,
-            timeout_ms: self.timeout.as_millis() as u64,
-        };
-        self.pending_execute.clear();
-        for &s in &participants {
-            if s == self.user {
-                continue;
-            }
+        self.link.pending_execute.clear();
+        for &s in job.participants.iter().filter(|&&s| s != user) {
+            let envelope = job
+                .envelopes
+                .iter()
+                .find(|(to, ..)| *to == s)
+                .map(|(_, envelope, _)| envelope.clone())
+                .ok_or(SimError::Envelope { to: s })?;
             let frame = Frame::Execute {
                 epoch,
-                job: job.clone(),
-                envelope: Some(envelopes.remove(&s).ok_or(SimError::Envelope { to: s })?),
+                job: job.spec.clone(),
+                envelope,
             };
             // Keep the frame: a reconnected control channel re-delivers
             // it, and the server-side outcome cache makes re-delivery
             // idempotent.
-            self.pending_execute.insert(s, frame.clone());
-            if let Err(e) = self.ctl_send(s, &frame) {
+            self.link.pending_execute.insert(s, frame.clone());
+            if let Err(e) = self.link.ctl_send(s, &frame) {
                 // Graceful degradation: a server whose control channel
                 // is beyond the retry budget fails *this epoch*, not
                 // the session. Abort the epoch on the data plane so the
                 // participants that did receive Execute stop waiting
                 // and report, leaving every channel clean for the next
                 // query.
-                broadcast_abort(&self.wire, epoch, &participants, self.user);
+                broadcast_abort(&self.wire, epoch, &job.participants, user);
                 return Err(e);
             }
         }
@@ -771,31 +613,9 @@ impl Coordinator {
         // The user's own share runs inline: the coordinator process
         // *is* the user's party (Fig. 8 — the user participates in the
         // data plane like any provider).
-        let parents = job.plan.parents();
-        let fused = crate::session::fusion_sites(&job.plan, &job.assignment);
-        let qj = QueryJob {
-            prepared: Prepared {
-                exec_plan: job.plan,
-                schemes: job.schemes,
-                key_of_attr: job.key_of_attr,
-                order,
-                transfers: HashMap::new(),
-                envelopes: Vec::new(),
-                requests: 0,
-                exec_seed: self.exec_seed,
-                fused,
-            },
-            assignment: job.assignment,
-            parents,
-            participants: participants.clone(),
-            user: self.user,
-            user_public: self.st.party.rsa.public.clone(),
-            pool: self.pool.clone(),
-            timeout: Some(self.timeout),
-        };
-        let own = run_query(&self.st, &qj, epoch, &self.rx, &self.wire, &mut self.stash);
+        let own = run_query(&self.st, &job, epoch, &self.rx, &self.wire, &mut self.stash);
 
-        // ---- 5. collect outcomes, assemble the report --------------
+        // ---- collect outcomes, assemble the report ------------------
         let mut transfers = request_bytes.clone();
         let mut failures: Vec<(SubjectId, String)> = Vec::new();
         let mut result = None;
@@ -807,34 +627,25 @@ impl Coordinator {
                 result = out.result;
             }
             Outcome::Failed(e) => return Err(e),
-            Outcome::Aborted => failures.push((self.user, ABORTED_MARK.to_string())),
+            Outcome::Aborted => failures.push((user, ABORTED_MARK.to_string())),
             Outcome::Panicked(m) => panic!("coordinator party panicked: {m}"),
         }
-        let wait = self.timeout + DONE_SLACK;
-        for &s in &participants {
-            if s == self.user {
-                continue;
-            }
-            match self.recv_outcome(s, epoch, wait) {
-                Ok(Frame::Done { transfers: t, .. }) => {
+        let wait = self.link.timeout + DONE_SLACK;
+        for &s in job.participants.iter().filter(|&&s| s != user) {
+            match self.link.recv_outcome(s, epoch, wait) {
+                Ok(t) => {
                     for (f, to, bytes) in t {
                         *transfers.entry((f, to)).or_default() += bytes as usize;
                     }
                 }
-                Ok(Frame::Failed { message, .. }) => failures.push((s, message)),
-                Ok(_) => {
-                    return Err(SimError::Transport(TransportError::Frame {
-                        detail: "expected Done/Failed".to_string(),
-                    }))
-                }
-                // A control channel dead beyond the retry budget fails
-                // this epoch for this participant; the remaining
-                // participants are still drained so the next query
-                // starts on clean channels.
-                Err(e) => failures.push((s, e.to_string())),
+                // A failed share, or a control channel dead beyond the
+                // retry budget, fails this epoch for this participant;
+                // the remaining participants are still drained so the
+                // next query starts on clean channels.
+                Err(message) => failures.push((s, message)),
             }
         }
-        self.pending_execute.clear();
+        self.link.pending_execute.clear();
         if !failures.is_empty() {
             // Prefer the actual failure over "a peer failed" echoes,
             // then lowest subject id, mirroring the session's
@@ -849,8 +660,15 @@ impl Coordinator {
             }))?,
             transfers,
             request_bytes,
-            requests: d.requests.len(),
+            requests,
         })
+    }
+
+    /// Amortization counters, as [`Session::stats`](crate::Session::stats)
+    /// reports them: clusters provisioned vs re-used, public halves
+    /// delivered, queries served.
+    pub fn stats(&self) -> SessionStats {
+        self.core.stats
     }
 
     /// Per-edge recovery counters of this coordinator's *data-plane*
@@ -865,102 +683,110 @@ impl Coordinator {
     /// control-plane re-sends and reconnects. Non-zero means the
     /// session survived at least one injected or real fault.
     pub fn recovered_sends(&self) -> u64 {
-        self.wire_stats.total_retries() + self.ctl_recovered
+        self.wire_stats.total_retries() + self.link.ctl_recovered
     }
 
     /// Ask every server to exit, then drop the connections.
     pub fn shutdown(mut self) {
-        for (_, ctl) in self.controls.iter_mut() {
+        for (_, ctl) in self.link.controls.iter_mut() {
             let _ = ctl.send(&Frame::Shutdown);
         }
     }
+}
+
+impl Link {
+    /// Send one provisioning frame, recorded first so any redial
+    /// replays it.
+    fn provision(&mut self, s: SubjectId, frame: Frame) -> Result<(), SimError> {
+        self.provisioned.entry(s).or_default().push(frame.clone());
+        self.ctl_send(s, &frame).inspect_err(|_| {
+            // A delivery that may not have landed: drop the connection
+            // so the next contact with `s` redials and replays.
+            self.controls.remove(&s);
+        })
+    }
 
     /// Send one control frame under the same bounded-retry discipline
-    /// as the data plane: every attempt consults the (control-plane)
-    /// fault schedule, every failure burns one unit of the
-    /// `max_attempts` budget and backs off with seeded jitter, and a
-    /// connection damaged by the fault is re-dialed before the next
-    /// attempt.
+    /// as the data plane: every failed attempt burns one unit of the
+    /// `max_attempts` budget and backs off with seeded jitter.
     fn ctl_send(&mut self, s: SubjectId, frame: &Frame) -> Result<(), SimError> {
         let max_attempts = self.retry.max_attempts.max(1);
-        let edge_seed = splitmix64(
-            self.seed ^ CTL_SALT ^ ((self.user.index() as u64) << 32) ^ s.index() as u64,
-        );
         let mut prev_ms = self.retry.base_ms;
         let mut attempt = 0u32;
         loop {
             attempt += 1;
-            let failed: Option<SimError> = if self.controls.contains_key(&s) {
-                let action = self.ctl_faults.next_action(self.user, s);
-                if let FaultAction::Delay(d) | FaultAction::Stall(d) = action {
-                    std::thread::sleep(d);
-                }
-                let ctl = self.controls.get_mut(&s).expect("checked above");
-                match action {
-                    FaultAction::Deliver | FaultAction::Delay(_) | FaultAction::Stall(_) => {
-                        match ctl.send(frame) {
-                            Ok(()) => None,
-                            Err(e) => {
-                                // A dead control connection never comes
-                                // back; re-dial on the next attempt.
-                                self.controls.remove(&s);
-                                Some(SimError::Transport(e))
-                            }
-                        }
-                    }
-                    // The frame vanishes in flight; the connection is
-                    // fine and the retry re-sends on it.
-                    FaultAction::Drop => Some(injected(s, "frame dropped")),
-                    // The frame is damaged mid-record and the
-                    // connection poisoned; nothing usable arrives.
-                    FaultAction::Truncate => {
-                        ctl.shutdown();
-                        self.controls.remove(&s);
-                        Some(injected(s, "frame truncated"))
-                    }
-                    // The frame arrives, then the connection dies — the
-                    // ambiguous case. The retry re-delivers, and the
-                    // receiver's idempotency (key-ring inserts, the
-                    // epoch outcome cache) absorbs the duplicate.
-                    FaultAction::Reset => {
-                        let _ = ctl.send(frame);
-                        ctl.shutdown();
-                        self.controls.remove(&s);
-                        Some(injected(s, "connection reset"))
-                    }
-                }
-            } else {
-                self.redial_control(s).err()
-            };
-            let Some(err) = failed else {
+            let Err(err) = self.ctl_attempt(s, frame) else {
                 return Ok(());
             };
             if attempt >= max_attempts {
                 return Err(err);
             }
-            self.ctl_recovered += 1;
-            let ms = self.retry.backoff_ms(edge_seed, attempt, prev_ms);
-            prev_ms = ms;
-            std::thread::sleep(Duration::from_millis(ms));
+            self.backoff(s, attempt, &mut prev_ms);
         }
     }
 
-    /// Wait for `s`'s `Done`/`Failed` of `epoch`. A dead control
-    /// connection is re-dialed and the pending `Execute` re-delivered —
-    /// the server either replays its cached outcome or runs the epoch
-    /// it never received — up to the retry budget. A *quiet* but
-    /// healthy connection (timeout) is not recoverable by reconnecting
-    /// and surfaces as the typed timeout abort immediately.
+    /// One delivery attempt: (re-)dial if the connection is gone, then
+    /// send under the control-plane fault schedule. A connection damaged
+    /// by the attempt is dropped, so the next attempt re-dials.
+    fn ctl_attempt(&mut self, s: SubjectId, frame: &Frame) -> Result<(), SimError> {
+        // A write into a connection the peer already closed can succeed
+        // locally and vanish — a restarted server's old connection must
+        // be re-dialed, not written to.
+        if self.controls.get(&s).is_some_and(Control::peer_closed) {
+            self.controls.remove(&s);
+        }
+        if !self.controls.contains_key(&s) {
+            self.redial_control(s)?;
+        }
+        let action = self.ctl_faults.next_action(self.user, s);
+        if let FaultAction::Delay(d) | FaultAction::Stall(d) = action {
+            std::thread::sleep(d);
+        }
+        let ctl = self.controls.get_mut(&s).expect("dialed above");
+        let failed = match action {
+            FaultAction::Deliver | FaultAction::Delay(_) | FaultAction::Stall(_) => {
+                match ctl.send(frame) {
+                    Ok(()) => return Ok(()),
+                    Err(e) => SimError::Transport(e),
+                }
+            }
+            // The frame vanishes in flight; the connection is fine and
+            // the retry re-sends on it.
+            FaultAction::Drop => return Err(injected(s, "frame dropped")),
+            // The frame is damaged mid-record and the connection
+            // poisoned; nothing usable arrives.
+            FaultAction::Truncate => {
+                ctl.shutdown();
+                injected(s, "frame truncated")
+            }
+            // The frame arrives, then the connection dies — the
+            // ambiguous case. The retry re-delivers, and the receiver's
+            // idempotency (key-ring inserts, the epoch outcome cache)
+            // absorbs the duplicate.
+            FaultAction::Reset => {
+                let _ = ctl.send(frame);
+                ctl.shutdown();
+                injected(s, "connection reset")
+            }
+        };
+        self.controls.remove(&s);
+        Err(failed)
+    }
+
+    /// Wait for `s`'s outcome of `epoch`: its per-edge transfers on
+    /// `Done`, else the failure message (`Failed`, or a control error
+    /// beyond the retry budget). A dead control connection is re-dialed
+    /// and the pending `Execute` re-delivered — the server either
+    /// replays its cached outcome or runs the epoch it never received.
+    /// A *quiet* but healthy connection (timeout) is not recoverable by
+    /// reconnecting and fails immediately.
     fn recv_outcome(
         &mut self,
         s: SubjectId,
         epoch: u64,
         wait: Duration,
-    ) -> Result<Frame, SimError> {
+    ) -> Result<Vec<(SubjectId, SubjectId, u64)>, String> {
         let max_attempts = self.retry.max_attempts.max(1);
-        let edge_seed = splitmix64(
-            self.seed ^ CTL_SALT ^ ((self.user.index() as u64) << 32) ^ s.index() as u64,
-        );
         let mut prev_ms = self.retry.base_ms;
         let mut attempt = 0u32;
         loop {
@@ -969,58 +795,60 @@ impl Coordinator {
                 Some(ctl) => ctl.recv(Some(wait)),
                 None => Err(TransportError::Closed),
             };
-            match r {
-                Ok(Frame::Done {
-                    epoch: e,
-                    transfers,
-                }) => {
-                    if e == epoch {
-                        return Ok(Frame::Done {
-                            epoch: e,
-                            transfers,
-                        });
-                    }
-                    // Residue of an earlier epoch: drain it without
-                    // consuming recovery budget.
+            let err = match r {
+                // Residue of an earlier epoch: drain it without
+                // consuming recovery budget.
+                Ok(Frame::Done { epoch: e, .. } | Frame::Failed { epoch: e, .. }) if e != epoch => {
                     attempt -= 1;
+                    continue;
                 }
-                Ok(Frame::Failed { epoch: e, message }) => {
-                    if e == epoch {
-                        return Ok(Frame::Failed { epoch: e, message });
-                    }
-                    attempt -= 1;
-                }
-                Ok(_) => {
-                    return Err(SimError::Transport(TransportError::Frame {
-                        detail: "expected Done/Failed".to_string(),
-                    }))
-                }
-                Err(e @ TransportError::Timeout { .. }) => return Err(SimError::Transport(e)),
-                Err(err) => {
+                Ok(Frame::Done { transfers, .. }) => return Ok(transfers),
+                Ok(Frame::Failed { message, .. }) => return Err(message),
+                Ok(_) => TransportError::Frame {
+                    detail: "expected Done/Failed".to_string(),
+                },
+                Err(e @ TransportError::Timeout { .. }) => e,
+                Err(e) => {
                     self.controls.remove(&s);
-                    if attempt >= max_attempts {
-                        return Err(SimError::Transport(err));
+                    if attempt < max_attempts {
+                        self.backoff(s, attempt, &mut prev_ms);
+                        self.redeliver(s);
+                        continue;
                     }
-                    self.ctl_recovered += 1;
-                    let ms = self.retry.backoff_ms(edge_seed, attempt, prev_ms);
-                    prev_ms = ms;
-                    std::thread::sleep(Duration::from_millis(ms));
-                    if self.redial_control(s).is_ok() {
-                        if let Some(frame) = self.pending_execute.get(&s).cloned() {
-                            if let Some(ctl) = self.controls.get_mut(&s) {
-                                if ctl.send(&frame).is_err() {
-                                    self.controls.remove(&s);
-                                }
-                            }
-                        }
-                    }
+                    e
                 }
+            };
+            return Err(SimError::Transport(err).to_string());
+        }
+    }
+
+    /// Re-dial `s` and re-deliver this epoch's `Execute`; a failure here
+    /// shows up as a dead connection on the next receive.
+    fn redeliver(&mut self, s: SubjectId) {
+        if self.redial_control(s).is_ok() {
+            let frame = self.pending_execute.get(&s).cloned();
+            let ctl = self.controls.get_mut(&s).expect("just dialed");
+            if frame.is_some_and(|f| ctl.send(&f).is_err()) {
+                self.controls.remove(&s);
             }
         }
     }
 
-    /// Dial (or re-dial) one server's control port and redo the hello
-    /// handshake. One attempt, never a loop of its own — every caller
+    /// Back off before retry `attempt` of a control send to `s`, with
+    /// jitter seeded per edge, counting the recovery.
+    fn backoff(&mut self, s: SubjectId, attempt: u32, prev_ms: &mut u64) {
+        let edge_seed = splitmix64(
+            self.seed ^ CTL_SALT ^ ((self.user.index() as u64) << 32) ^ s.index() as u64,
+        );
+        self.ctl_recovered += 1;
+        *prev_ms = self.retry.backoff_ms(edge_seed, attempt, *prev_ms);
+        std::thread::sleep(Duration::from_millis(*prev_ms));
+    }
+
+    /// Dial (or re-dial) one server's control port, redo the hello
+    /// handshake, and replay every provisioning frame recorded for it —
+    /// before any other frame, so the server holds what the cache says
+    /// it holds. One attempt, never a loop of its own — every caller
     /// sits inside a bounded retry budget. The `HelloAck` wait grants
     /// `DONE_SLACK` past the query timeout because a mid-epoch server
     /// only answers once its current serve loop observes the dead
@@ -1034,7 +862,7 @@ impl Coordinator {
         let mut ctl = Control::connect(&addr, CONNECT_TIMEOUT).map_err(SimError::Transport)?;
         ctl.send(&Frame::Hello {
             user: self.user,
-            public: self.st.party.rsa.public.clone(),
+            public: self.own.rsa.public.clone(),
         })
         .map_err(SimError::Transport)?;
         let wait = self.timeout + DONE_SLACK;
@@ -1052,6 +880,9 @@ impl Coordinator {
                     detail: "expected HelloAck".to_string(),
                 }))
             }
+        }
+        for frame in self.provisioned.get(&s).into_iter().flatten() {
+            ctl.send(frame).map_err(SimError::Transport)?;
         }
         self.controls.insert(s, ctl);
         Ok(())

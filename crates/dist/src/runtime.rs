@@ -8,8 +8,8 @@
 //! and reused for every query the session executes (re-spawning per
 //! query was one of the fixed per-run costs the session layer exists
 //! to amortize). Between queries a party sits idle on its mailbox;
-//! each query (a `QueryJob`, the output of the session's preparation
-//! phase) wakes the participating parties, and each steps a node of
+//! each query (a `QueryJob`, the output of the
+//! [coordinator core](crate::coordinator)) wakes the participating parties, and each steps a node of
 //! the extended plan as soon as all of its operands are materialized
 //! locally, so independent subtrees assigned to different subjects
 //! execute concurrently (pipeline parallelism across providers).
@@ -24,7 +24,7 @@
 //! * **identical byte accounting** — tables are accounted on the same
 //!   producer → consumer edges, by the receiving party; request
 //!   envelopes are sealed (batched per subject-pair edge) before any
-//!   party wakes, by the shared preparation phase;
+//!   party wakes, by the coordinator core;
 //! * **audit on receive** — the cell-level
 //!   [`audit_transfer_with`] check runs at
 //!   the receiving party, on its own thread, before the table is used.
@@ -55,17 +55,19 @@
 //! the pending-input counter.
 
 use crate::audit::audit_transfer_with;
+use crate::coordinator::Prepared;
 use crate::error::SimError;
 use crate::fault::RetryPolicy;
-use crate::session::Prepared;
 use crate::transport::{
     FaultState, InProcTransport, TcpHub, TcpTransport, Transport, TransportError, Wire, WireStats,
 };
 use crate::{Party, Report, TransportKind};
-use mpq_algebra::{Catalog, NodeId, SubjectId};
+use mpq_algebra::{AttrId, Catalog, NodeId, QueryPlan, SubjectId};
 use mpq_core::authz::SubjectView;
-use mpq_crypto::rsa::RsaPublic;
-use mpq_exec::{effective_children, execute_step, node_ready_fused, ExecCtx, Table, WorkerPool};
+use mpq_crypto::rsa::{RsaPublic, SignedEnvelope};
+use mpq_exec::{
+    effective_children, execute_step, node_ready_fused, ExecCtx, SchemePlan, Table, WorkerPool,
+};
 use std::collections::{HashMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
@@ -135,34 +137,85 @@ pub(crate) enum PartyMsg {
     Shutdown,
 }
 
-/// Everything the parties need to execute one query — built by the
-/// session's preparation phase (runtime authorization, incremental
-/// Def. 6.1 provisioning, literal rewriting, envelope sealing) and
-/// shared immutably by all participants.
-pub(crate) struct QueryJob {
-    /// Output of the shared preparation phase.
-    pub(crate) prepared: Prepared,
+/// What the coordinator core decides about one query, and all of it
+/// that travels to a remote party in `Frame::Execute`: no request
+/// envelope but the recipient's own, no private key.
+#[derive(Clone, Debug)]
+pub(crate) struct JobSpec {
+    /// The extended plan with encrypted literals spliced in.
+    pub(crate) plan: QueryPlan,
+    /// Per-attribute encryption schemes.
+    pub(crate) schemes: SchemePlan,
+    /// Attribute → Def. 6.1 cluster-key id.
+    pub(crate) key_of_attr: HashMap<AttrId, u32>,
     /// Node → executing subject.
     pub(crate) assignment: HashMap<NodeId, SubjectId>,
-    /// Parent of each node of the executed plan (by node index).
+    /// Footnote-2 fusion sites: Encrypt nodes folded into their parent
+    /// Select. These never execute as standalone steps.
+    pub(crate) fused: HashSet<NodeId>,
+    /// The querying user.
+    pub(crate) user: SubjectId,
+    /// Base seed for per-(node, column, row) encryption randomness.
+    pub(crate) exec_seed: u64,
+    /// How long a party waits for an expected data message before
+    /// aborting the epoch with a typed [`TransportError::Timeout`] —
+    /// `None` waits forever (the in-proc default, where a peer cannot
+    /// die without the whole process dying).
+    pub(crate) timeout: Option<Duration>,
+}
+
+/// Everything the parties need to execute one query, shared immutably
+/// by all participants.
+pub(crate) struct QueryJob {
+    pub(crate) spec: JobSpec,
+    /// Execution order (postorder of the plan).
+    pub(crate) order: Vec<NodeId>,
+    /// Parent of each node of the plan (by node index).
     pub(crate) parents: Vec<Option<NodeId>>,
     /// Participating subjects (every assignee plus the querying user),
     /// ascending by subject id.
     pub(crate) participants: Vec<SubjectId>,
-    /// The querying user.
-    pub(crate) user: SubjectId,
     /// The user's RSA public key (envelope verification).
     pub(crate) user_public: RsaPublic,
+    /// Signed requests this process can check: recipient, sealed
+    /// envelope, and the payload the recipient must recover. A remote
+    /// server verifies its own envelope before building the job.
+    pub(crate) envelopes: Vec<(SubjectId, SignedEnvelope, Vec<u8>)>,
     /// Worker pool for intra-operator data parallelism; all parties
     /// draw from this one budget, so concurrently executing parties do
     /// not oversubscribe the machine.
     pub(crate) pool: WorkerPool,
-    /// How long a party waits for an expected data message before
-    /// aborting the epoch with a typed
-    /// [`TransportError::Timeout`] — `None` waits forever (the in-proc
-    /// default, where a peer cannot die without the whole process
-    /// dying).
-    pub(crate) timeout: Option<Duration>,
+}
+
+impl QueryJob {
+    /// The one way to build a job, for in-proc sessions, the
+    /// coordinator's own share and remote servers alike: order,
+    /// parents and participants all follow from the spec.
+    pub(crate) fn new(
+        spec: JobSpec,
+        user_public: RsaPublic,
+        envelopes: Vec<(SubjectId, SignedEnvelope, Vec<u8>)>,
+        pool: WorkerPool,
+    ) -> QueryJob {
+        let order = spec.plan.postorder();
+        let parents = spec.plan.parents();
+        let mut participants: Vec<SubjectId> = order
+            .iter()
+            .filter_map(|id| spec.assignment.get(id).copied())
+            .chain([spec.user])
+            .collect();
+        participants.sort_by_key(|s| s.index());
+        participants.dedup();
+        QueryJob {
+            spec,
+            order,
+            parents,
+            participants,
+            user_public,
+            envelopes,
+            pool,
+        }
+    }
 }
 
 /// What a party reports back to the coordinator for one epoch.
@@ -310,12 +363,15 @@ impl PartyThreads {
     /// assemble the [`Report`]. Blocks until every participant reported
     /// an outcome for this epoch, so a failed query is fully drained
     /// before the next one starts.
-    pub(crate) fn run(&mut self, job: QueryJob) -> Result<Report, SimError> {
+    pub(crate) fn run(&mut self, prepared: Prepared) -> Result<Report, SimError> {
         self.epoch += 1;
         let epoch = self.epoch;
+        let Prepared {
+            job,
+            request_bytes,
+            requests,
+        } = prepared;
         let participants = job.participants.clone();
-        let request_bytes = job.prepared.transfers.clone();
-        let requests = job.prepared.requests;
         let job = Arc::new(job);
         for &s in &participants {
             self.txs[s.index()]
@@ -405,7 +461,7 @@ pub(crate) fn broadcast_abort(wire: &Wire, epoch: u64, participants: &[SubjectId
 }
 
 /// Render a caught panic payload for re-raising at the coordinator.
-fn panic_text(payload: Box<dyn std::any::Any + Send>) -> String {
+pub(crate) fn panic_text(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -466,7 +522,8 @@ pub(crate) fn run_query(
     stash: &mut Vec<(u64, Msg)>,
 ) -> Outcome {
     let me = st.me;
-    let plan = &job.prepared.exec_plan;
+    let spec = &job.spec;
+    let plan = &spec.plan;
     let party = st.party.as_ref();
     let my_view = &st.view;
     let root = plan.root();
@@ -476,7 +533,7 @@ pub(crate) fn run_query(
     // authorization to compute (`[[q_S, keys]_priU]_pubS`), exactly as
     // the sequential path verifies all envelopes before stepping any
     // node.
-    for (to, envelope, expected) in &job.prepared.envelopes {
+    for (to, envelope, expected) in &job.envelopes {
         if *to != me {
             continue;
         }
@@ -491,13 +548,12 @@ pub(crate) fn run_query(
     // Encrypts never execute as standalone steps: their parent Select
     // (same assignee by construction) filters on the plaintext input
     // and encrypts only the survivors.
-    let fused = &job.prepared.fused;
+    let fused = &spec.fused;
     let my_nodes: Vec<NodeId> = job
-        .prepared
         .order
         .iter()
         .copied()
-        .filter(|id| job.assignment[id] == me && !fused.contains(id))
+        .filter(|id| spec.assignment[id] == me && !fused.contains(id))
         .collect();
     // External tables this party waits for: operands of its nodes
     // produced elsewhere (looking through fused Encrypts to the
@@ -506,9 +562,9 @@ pub(crate) fn run_query(
     let mut pending = my_nodes
         .iter()
         .flat_map(|&id| effective_children(plan, id, fused))
-        .filter(|c| job.assignment[c] != me)
+        .filter(|c| spec.assignment[c] != me)
         .count();
-    if me == job.user && job.assignment[&root] != me {
+    if me == spec.user && spec.assignment[&root] != me {
         pending += 1;
     }
 
@@ -550,11 +606,11 @@ pub(crate) fn run_query(
                     &st.catalog,
                     &party.store,
                     &party.ring,
-                    &job.prepared.schemes,
-                    &job.prepared.key_of_attr,
+                    &spec.schemes,
+                    &spec.key_of_attr,
                 )
                 .pool(job.pool.clone())
-                .seed(job.prepared.exec_seed)
+                .seed(spec.exec_seed)
                 .build();
                 let table = match execute_step(plan, id, &mut results, &exec_ctx) {
                     Ok(t) => t,
@@ -566,7 +622,7 @@ pub(crate) fn run_query(
                 *done = true;
                 progress = true;
                 if id == root {
-                    if me == job.user {
+                    if me == spec.user {
                         // Even a user-computed result is audited, as in
                         // the sequential path.
                         if let Err(e) = audit_transfer_with(&table, my_view, &job.pool) {
@@ -575,7 +631,7 @@ pub(crate) fn run_query(
                         }
                         result_table = Some(table);
                     } else if let Err(e) = wire.send(
-                        job.user,
+                        spec.user,
                         epoch,
                         Msg::Result {
                             from: me,
@@ -588,7 +644,7 @@ pub(crate) fn run_query(
                     }
                 } else {
                     let parent = job.parents[id.index()].expect("non-root has a parent");
-                    let consumer = job.assignment[&parent];
+                    let consumer = spec.assignment[&parent];
                     if consumer == me {
                         results.insert(id, table);
                     } else if let Err(e) = wire.send(
@@ -609,7 +665,7 @@ pub(crate) fn run_query(
         }
 
         let all_executed = executed.iter().all(|&d| d);
-        let have_result = me != job.user || result_table.is_some();
+        let have_result = me != spec.user || result_table.is_some();
         if all_executed && have_result && pending == 0 {
             return Outcome::Done(PartyOut {
                 transfers,
@@ -623,7 +679,7 @@ pub(crate) fn run_query(
         let msg = if let Some(m) = inbox.next() {
             m
         } else {
-            let received = match job.timeout {
+            let received = match spec.timeout {
                 Some(d) => match rx.recv_timeout(d) {
                     Ok(m) => Ok(m),
                     Err(RecvTimeoutError::Timeout) => {

@@ -1,22 +1,24 @@
 //! Persistent multi-query sessions: amortize trust establishment
 //! across queries.
 //!
-//! [`Simulator::run`](crate::Simulator::run) is protocol-faithful to a
-//! fault: every run provisions fresh Def. 6.1 cluster keys, re-ships
-//! the Paillier public halves, and (before this layer existed)
-//! re-spawned every party thread. After the crypto hot path got cheap,
-//! those *per-run fixed costs* dominate short queries. A production
-//! multi-provider deployment — like SMCQL's federated honest-broker
-//! sessions — holds long-lived connections to each provider and runs
-//! many queries per trust establishment; a [`Session`] is that model:
+//! Per-query fixed costs — fresh Def. 6.1 cluster keys, re-shipped
+//! Paillier public halves, party threads — dominate short queries. A
+//! production multi-provider deployment — like SMCQL's federated
+//! honest-broker sessions — holds long-lived connections to each
+//! provider and runs many queries per trust establishment; a
+//! [`Session`] is that model, with one thread per subject in this
+//! process:
 //!
 //! * **party threads spawn once**, at [`Session::open`], and idle on
 //!   long-lived mailboxes between queries ([`runtime`](crate::runtime));
-//! * **key provisioning is incremental** — generated [`ClusterKey`]
-//!   material is cached per [`ClusterSig`] (cluster attribute set +
-//!   holder set), so a repeated query re-uses already-provisioned keys
-//!   and already-delivered Paillier public halves, and only *new*
-//!   clusters are generated and shipped;
+//! * **key provisioning is incremental** — the
+//!   [coordinator core](crate::coordinator) caches generated cluster
+//!   keys per cluster signature (attribute set + holder set), so a
+//!   repeated query re-uses already-provisioned keys and
+//!   already-delivered Paillier public halves, and only *new* clusters
+//!   are generated and shipped;
+//!   [`Session::reset_provisioning`] forgets them all, for callers
+//!   that want every query to provision fresh material;
 //! * **authorization stays per-query** — every [`Session::execute`]
 //!   re-checks Def. 4.1 for every node and re-seals the signed request
 //!   envelopes (`[[q_S, keys]_priU]_pubS`); only trust, transport and
@@ -28,35 +30,31 @@
 //!   from every ring *and* invalidates the cache entry, so the next
 //!   query that needs the cluster provisions fresh material.
 
+use crate::coordinator::{Core, Fleet, Prepared, Seal};
 use crate::error::SimError;
 use crate::fault::{FaultPlan, RetryPolicy};
-use crate::runtime::{PartyThreads, QueryJob};
+use crate::runtime::PartyThreads;
 use crate::transport::{EdgeRecovery, FaultState, TransportKind, WireStats};
-use crate::{audit, Party, Report, PAILLIER_BITS, RSA_BITS};
-use mpq_algebra::{AttrId, Catalog, NodeId, Operator, QueryPlan, RelId, SubjectId};
-use mpq_core::authz::{Policy, SubjectView};
-use mpq_core::dispatch::dispatch;
+use crate::{audit, Party, Report, RSA_BITS};
+use mpq_algebra::{Catalog, NodeId, RelId, SubjectId};
+use mpq_core::authz::Policy;
 use mpq_core::extend::ExtendedPlan;
-use mpq_core::keys::{ClusterSig, KeyPlan};
+use mpq_core::keys::KeyPlan;
 use mpq_core::subjects::Subjects;
 use mpq_crypto::keyring::{ClusterKey, KeyRing};
-use mpq_crypto::rsa::{RsaKeypair, RsaPublic, SignedEnvelope};
-use mpq_exec::{
-    assign_schemes, effective_children, execute_step, fused_encrypt_child, rewrite_literals,
-    Database, ExecCtx, SchemePlan, Table, WorkerPool,
-};
+use mpq_crypto::paillier::PaillierPublic;
+use mpq_crypto::rsa::{RsaKeypair, RsaPublic};
+use mpq_exec::{effective_children, execute_step, Database, ExecCtx, Table};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-/// Every runtime knob of a [`Session`] (and, through
-/// [`Simulator::with_config`](crate::Simulator::with_config), of a
-/// simulator) in one builder: seed, worker pool, static pre-flight,
-/// transport, and receive timeout. The legacy knob methods
-/// (`Session::with_workers`, `Session::without_preflight`) remain as
-/// thin shims over this.
+/// Every runtime knob of a [`Session`] (and of a
+/// [`Coordinator`](crate::Coordinator)) in one builder: seed, worker
+/// pool, static pre-flight, transport, receive timeout, faults, retry
+/// and fusion.
 ///
 /// # Example
 ///
@@ -173,67 +171,6 @@ impl SessionConfig {
     }
 }
 
-/// Output of the shared preparation phase (runtime authorization,
-/// incremental Def. 6.1 key provisioning, literal rewriting, envelope
-/// sealing) — everything both execution paths consume.
-pub(crate) struct Prepared {
-    /// The extended plan with encrypted literals spliced in.
-    pub(crate) exec_plan: QueryPlan,
-    /// Per-attribute encryption schemes.
-    pub(crate) schemes: SchemePlan,
-    /// Attribute → session-wide cluster-key id.
-    pub(crate) key_of_attr: HashMap<AttrId, u32>,
-    /// Execution order (postorder of the extended plan).
-    pub(crate) order: Vec<NodeId>,
-    /// Envelope bytes already accounted per user → subject edge.
-    pub(crate) transfers: HashMap<(SubjectId, SubjectId), usize>,
-    /// Batched signed requests: recipient, sealed envelope, and the
-    /// payload the recipient must recover for verification.
-    pub(crate) envelopes: Vec<(SubjectId, SignedEnvelope, Vec<u8>)>,
-    /// Number of dispatched sub-query requests (before batching).
-    pub(crate) requests: usize,
-    /// Base seed for per-(node, column, row) encryption randomness,
-    /// derived from the session seed; identical for both execution
-    /// paths and for every query of the session.
-    pub(crate) exec_seed: u64,
-    /// Footnote-2 fusion sites: Encrypt nodes folded into their parent
-    /// Select (same assignee, fusible predicate). These never execute
-    /// as standalone steps in either runtime.
-    pub(crate) fused: HashSet<NodeId>,
-}
-
-/// Footnote-2 fusion sites of an assigned plan: every Encrypt folded
-/// into its parent Select (fusible predicate, same assignee — a
-/// different assignee must never see the Encrypt's plaintext input).
-/// Deterministic in `(plan, assignment)`, so the federated coordinator
-/// and its servers compute identical sets without shipping them.
-pub(crate) fn fusion_sites(
-    plan: &QueryPlan,
-    assignment: &HashMap<NodeId, SubjectId>,
-) -> HashSet<NodeId> {
-    let mut fused = HashSet::new();
-    for id in plan.postorder() {
-        if let Some(enc_id) = fused_encrypt_child(plan, id) {
-            if let (Some(a), Some(b)) = (assignment.get(&id), assignment.get(&enc_id)) {
-                if a == b {
-                    fused.insert(enc_id);
-                }
-            }
-        }
-    }
-    fused
-}
-
-/// One cached Def. 6.1 cluster: the generated material (already in the
-/// holders' rings) and the subjects that already received the Paillier
-/// public half.
-struct CachedCluster {
-    material: ClusterKey,
-    /// Subject indices holding at least the public (aggregation) half —
-    /// holders included, since a full key implies the public half.
-    publics: HashSet<usize>,
-}
-
 /// Amortization counters of one [`Session`] — how much Def. 6.1 work
 /// the cluster-key cache saved.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -254,9 +191,7 @@ pub struct SessionStats {
 /// A persistent multi-query execution context over one set of parties.
 ///
 /// See the [module docs](self) for what amortizes across queries and
-/// what is re-checked per query. [`Simulator`](crate::Simulator) is a
-/// thin protocol-faithful wrapper that resets the provisioning cache
-/// before every run.
+/// what is re-checked per query.
 ///
 /// # Example
 ///
@@ -282,45 +217,46 @@ pub struct SessionStats {
 /// assert_eq!(session.stats().clusters_reused, keys.keys.len());
 /// ```
 pub struct Session {
-    catalog: Arc<Catalog>,
-    subjects: Arc<Subjects>,
-    /// Per-subject overall views, fixed for the session's lifetime
-    /// (the policy itself is immutable; key *revocation* is modeled by
-    /// [`Session::revoke_key`]).
-    views: Arc<Vec<SubjectView>>,
+    /// The §6 preparation: views, RNG, cluster-key cache, counters.
+    core: Core,
     parties: Vec<Arc<Party>>,
-    rng: StdRng,
-    /// Derived once from the constructor seed; see `Prepared::exec_seed`.
-    exec_seed: u64,
-    /// Worker pool for intra-operator data parallelism; shared by every
-    /// party loop (and the sequential interpreter), so concurrently
-    /// executing parties draw threads from one budget instead of
-    /// oversubscribing the machine.
-    pool: WorkerPool,
-    /// The cluster-key cache: Def. 6.1 material by cluster signature.
-    cache: HashMap<ClusterSig, CachedCluster>,
-    /// Next session-wide cluster-key id. Plan-local key ids (positions
-    /// in a `KeyPlan`) are remapped onto these so material cached from
-    /// one query is addressable from every later one.
-    next_key_id: u32,
     /// The long-lived party threads.
     threads: PartyThreads,
-    stats: SessionStats,
-    /// Run the static verifier (`mpq_core::verify`) before spending any
-    /// crypto work on a query. On by default; the runtime-enforcement
-    /// tests opt out to exercise the dynamic checks the verifier
-    /// subsumes.
-    preflight: bool,
-    /// Receive timeout handed to every query's job (see
-    /// [`SessionConfig::effective_timeout`]).
-    timeout: Option<Duration>,
-    /// Footnote-2 fusion enabled for this session's queries.
-    fuse: bool,
     /// Fault-injection state shared by every party's wire; swapping
     /// the plan (see [`Session::set_faults`]) reaches all of them.
     faults: Arc<Mutex<FaultState>>,
     /// Per-edge recovery counters shared by every party's wire.
     wire_stats: Arc<WireStats>,
+}
+
+/// The in-proc fleet: every party's ring is in reach, so keys go
+/// straight in and nothing is sealed.
+struct InProc<'a>(&'a [Arc<Party>]);
+
+impl Fleet for InProc<'_> {
+    fn public_of(&self, s: SubjectId) -> Result<&RsaPublic, SimError> {
+        Ok(&self.0[s.index()].rsa.public)
+    }
+
+    fn deliver_key(
+        &mut self,
+        s: SubjectId,
+        key: &ClusterKey,
+        _: &mut Seal,
+    ) -> Result<(), SimError> {
+        self.0[s.index()].ring.insert(key.clone());
+        Ok(())
+    }
+
+    fn deliver_public(
+        &mut self,
+        s: SubjectId,
+        id: u32,
+        public: PaillierPublic,
+    ) -> Result<(), SimError> {
+        self.0[s.index()].ring.insert_public(id, public);
+        Ok(())
+    }
 }
 
 impl Session {
@@ -371,16 +307,14 @@ impl Session {
                 parties[owner.index()].store.insert(rel.rel, table.clone());
             }
         }
-        let catalog = Arc::new(catalog.clone());
-        let subjects = Arc::new(subjects.clone());
-        let views = Arc::new(policy.all_views(&catalog, &subjects));
+        let core = Core::new(catalog, subjects, policy, rng, &config);
         let parties: Vec<Arc<Party>> = parties.into_iter().map(Arc::new).collect();
         let plan = config.faults.clone().or_else(FaultPlan::from_env);
         let faults = Arc::new(Mutex::new(FaultState::new(plan)));
         let wire_stats = Arc::new(WireStats::default());
         let threads = PartyThreads::spawn(
-            &catalog,
-            &views,
+            &core.catalog,
+            &core.views,
             &parties,
             config.transport,
             config.seed,
@@ -389,279 +323,24 @@ impl Session {
             Arc::clone(&wire_stats),
         );
         Session {
-            catalog,
-            subjects,
-            views,
+            core,
             parties,
-            rng,
-            exec_seed: config.seed ^ 0x6d70_715f_6578_6563, // "mpq_exec"
-            pool: match config.workers {
-                Some(n) => WorkerPool::new(n),
-                None => WorkerPool::global(),
-            },
-            cache: HashMap::new(),
-            next_key_id: 0,
             threads,
-            stats: SessionStats::default(),
-            preflight: config.preflight,
-            timeout: config.effective_timeout(),
-            fuse: config.fuse,
             faults,
             wire_stats,
         }
     }
 
-    /// Deprecated: use [`Session::open_with`] with
-    /// [`SessionConfig::with_workers`]. Replaces the shared worker pool
-    /// with a private one of `workers` threads (differential tests
-    /// sweep worker counts; results are identical by construction).
-    /// Takes effect from the next query — the pool travels with each
-    /// query's job, not with the threads.
-    pub fn with_workers(mut self, workers: usize) -> Session {
-        self.pool = WorkerPool::new(workers);
-        self
-    }
-
-    /// Deprecated: use [`Session::open_with`] with
-    /// [`SessionConfig::without_preflight`]. Disables the static
-    /// pre-flight verifier for this session's queries, leaving only the
-    /// dynamic defenses (per-node Def. 4.1 re-check, wire audit,
-    /// key-ring enforcement). Exists for the runtime-enforcement tests,
-    /// which deliberately execute plans the verifier would reject in
-    /// order to prove the dynamic layer catches them too.
-    pub fn without_preflight(mut self) -> Session {
-        self.preflight = false;
-        self
-    }
-
-    /// Shared preparation, both execution paths: runtime authorization
-    /// re-check (Def. 4.1 per node), *incremental* Def. 6.1 key
-    /// provisioning through the cluster cache, scheme assignment,
-    /// encrypted-literal rewriting, and sealing of the signed request
-    /// envelopes (batched per subject-pair edge). Consumes the session
-    /// RNG in a fixed order so a fresh session's first query is
-    /// bit-identical to a fresh `Simulator` run with the same seed.
+    /// The §6 preparation of one query, through the in-proc fleet.
     fn prepare(
         &mut self,
         ext: &ExtendedPlan,
         keys: &KeyPlan,
         user: SubjectId,
     ) -> Result<Prepared, SimError> {
-        let order = ext.plan.postorder();
-        let assignee_of = |id: NodeId| -> Result<SubjectId, SimError> {
-            ext.assignment
-                .get(&id)
-                .copied()
-                .ok_or(SimError::Unassigned(id))
-        };
-
-        // ---- 1. runtime authorization check (Def. 4.1 per node) -----
-        // Authorization never amortizes: the signed request is a
-        // per-query grant, so every execute re-verifies every node.
-        for &id in &order {
-            let node = ext.plan.node(id);
-            let subject = assignee_of(id)?;
-            if let Operator::Base { rel, .. } = &node.op {
-                // Base relations never leave their authority: the
-                // leaf's executor must be the storing authority, which
-                // sees its own relation by construction.
-                let authority = self
-                    .subjects
-                    .authority(*rel)
-                    .ok_or(SimError::NoAuthority(*rel))?;
-                if subject != authority {
-                    return Err(SimError::NotTheAuthority {
-                        node: id,
-                        subject,
-                        authority,
-                    });
-                }
-                continue;
-            }
-            let view = &self.views[subject.index()];
-            for &child in &node.children {
-                if let Err(violation) = view.check(&ext.profiles[child.index()]) {
-                    return Err(SimError::Unauthorized {
-                        node: id,
-                        subject,
-                        violation,
-                    });
-                }
-            }
-            if let Err(violation) = view.check(&ext.profiles[id.index()]) {
-                return Err(SimError::Unauthorized {
-                    node: id,
-                    subject,
-                    violation,
-                });
-            }
-        }
-
-        // ---- 1b. static pre-flight (mpq_core::verify) ----------------
-        // The full multi-pass verifier, after the per-node checks above
-        // (preserving their error precedence) and before any key
-        // material is generated: a plan that would leak on some edge,
-        // miss a Def. 6.1 key, or hit a scheme conflict is refused
-        // without spending a single modexp.
-        if self.preflight {
-            let report = mpq_core::verify::verify_extended(
-                ext,
-                keys,
-                &self.catalog,
-                &self.subjects,
-                &self.views,
-                Some(user),
-            );
-            if !report.is_clean() {
-                return Err(SimError::Verify(report));
-            }
-        }
-
-        // ---- 2. incremental key provisioning (Def. 6.1) --------------
-        let mut key_of_attr: HashMap<AttrId, u32> = HashMap::new();
-        let mut computing: Vec<bool> = vec![false; self.parties.len()];
-        for &id in &order {
-            computing[assignee_of(id)?.index()] = true;
-        }
-        computing[user.index()] = true;
-        // Predicates over encrypted attributes need encrypted literals.
-        // Conceptually the key-holding authorities rewrite their
-        // conditions while preparing the sub-queries (§6); this ring
-        // stands in for them at dispatch time.
-        let dispatcher_ring = KeyRing::new();
-        for plan_key in &keys.keys {
-            let sig = plan_key.cluster_sig();
-            if !self.cache.contains_key(&sig) {
-                // A cluster this session has never provisioned: generate
-                // under a fresh session-wide id and ship the full key to
-                // every Def. 6.1 holder.
-                let id = self.next_key_id;
-                self.next_key_id += 1;
-                let material = ClusterKey::generate(&mut self.rng, id, PAILLIER_BITS);
-                for holder in &plan_key.holders {
-                    self.parties[holder.index()].ring.insert(material.clone());
-                }
-                let publics: HashSet<usize> = plan_key.holders.iter().map(|s| s.index()).collect();
-                self.cache
-                    .insert(sig.clone(), CachedCluster { material, publics });
-                self.stats.clusters_provisioned += 1;
-            } else {
-                self.stats.clusters_reused += 1;
-            }
-            let cached = self.cache.get_mut(&sig).expect("just inserted or present");
-            for a in plan_key.attrs.iter() {
-                key_of_attr.insert(a, cached.material.id);
-            }
-            // Public Paillier halves for every computing non-holder not
-            // yet served: enough to aggregate, never to decrypt.
-            for (i, party) in self.parties.iter().enumerate() {
-                if computing[i] && !cached.publics.contains(&i) {
-                    party
-                        .ring
-                        .insert_public(cached.material.id, cached.material.paillier_public());
-                    cached.publics.insert(i);
-                    self.stats.publics_delivered += 1;
-                }
-            }
-            if !plan_key.holders.is_empty() {
-                dispatcher_ring.insert(cached.material.clone());
-            }
-        }
-
-        // ---- 3. dispatch: signed, encrypted sub-query requests -------
-        let schemes = assign_schemes(&ext.plan).map_err(|e| SimError::Scheme(e.to_string()))?;
-        let exec_plan = rewrite_literals(
-            &ext.plan,
-            &self.catalog,
-            &schemes,
-            &key_of_attr,
-            &dispatcher_ring,
-            &mut self.rng,
-        )
-        .map_err(SimError::Rewrite)?;
-
-        // Batch the request payloads per user → subject edge: one
-        // envelope (one signature, one session key) per recipient,
-        // regardless of how many sub-query regions it executes.
-        let d = dispatch(ext, keys, &self.catalog, &self.subjects);
-        let mut batches: Vec<Vec<u8>> = vec![Vec::new(); self.parties.len()];
-        for req in &d.requests {
-            let batch = &mut batches[req.subject.index()];
-            if !batch.is_empty() {
-                batch.extend_from_slice(b"\n===\n");
-            }
-            batch.extend_from_slice(req.sql.as_bytes());
-            for key_id in &req.keys {
-                batch.extend_from_slice(format!("\nkey:{key_id}").as_bytes());
-            }
-        }
-        let mut transfers: HashMap<(SubjectId, SubjectId), usize> = HashMap::new();
-        let mut envelopes: Vec<(SubjectId, SignedEnvelope, Vec<u8>)> = Vec::new();
-        for (i, payload) in batches.into_iter().enumerate() {
-            if payload.is_empty() {
-                continue;
-            }
-            let to = SubjectId::from_index(i);
-            let envelope = SignedEnvelope::seal(
-                &mut self.rng,
-                &payload,
-                &self.parties[user.index()].rsa,
-                &self.parties[i].rsa.public,
-            );
-            if to != user {
-                *transfers.entry((user, to)).or_default() +=
-                    envelope.wrapped_key.len() + envelope.body.len() + envelope.signature.len();
-            }
-            envelopes.push((to, envelope, payload));
-        }
-
-        // ---- 3b. footnote-2 fusion sites -----------------------------
-        // Fold an Encrypt into its parent Select when the rewritten
-        // predicate is fusible *and* both nodes run under the same
-        // subject: the executor already sees the Encrypt's plaintext
-        // input (it was about to encrypt it), so evaluating the
-        // condition first reveals nothing.
-        let fused = if self.fuse {
-            fusion_sites(&exec_plan, &ext.assignment)
-        } else {
-            HashSet::new()
-        };
-
-        Ok(Prepared {
-            exec_plan,
-            schemes,
-            key_of_attr,
-            order,
-            transfers,
-            envelopes,
-            requests: d.requests.len(),
-            exec_seed: self.exec_seed,
-            fused,
-        })
-    }
-
-    /// Package a prepared query for the party threads.
-    fn job(&self, prepared: Prepared, ext: &ExtendedPlan, user: SubjectId) -> QueryJob {
-        let parents = prepared.exec_plan.parents();
-        let mut is_participant = vec![false; self.parties.len()];
-        for id in &prepared.order {
-            is_participant[ext.assignment[id].index()] = true;
-        }
-        is_participant[user.index()] = true;
-        let participants: Vec<SubjectId> = (0..self.parties.len())
-            .map(SubjectId::from_index)
-            .filter(|s| is_participant[s.index()])
-            .collect();
-        QueryJob {
-            prepared,
-            assignment: ext.assignment.clone(),
-            parents,
-            participants,
-            user,
-            user_public: self.parties[user.index()].rsa.public.clone(),
-            pool: self.pool.clone(),
-            timeout: self.timeout,
-        }
+        let signer = &self.parties[user.index()].rsa;
+        self.core
+            .prepare(ext, keys, user, signer, &mut InProc(&self.parties))
     }
 
     /// Run one query over the session's persistent parties, on behalf
@@ -680,10 +359,8 @@ impl Session {
         keys: &KeyPlan,
         user: SubjectId,
     ) -> Result<Report, SimError> {
-        self.stats.queries += 1;
         let prepared = self.prepare(ext, keys, user)?;
-        let job = self.job(prepared, ext, user);
-        self.threads.run(job)
+        self.threads.run(prepared)
     }
 
     /// Run one query bottom-up on the calling thread — the reference
@@ -696,64 +373,68 @@ impl Session {
         keys: &KeyPlan,
         user: SubjectId,
     ) -> Result<Report, SimError> {
-        self.stats.queries += 1;
-        let prepared = self.prepare(ext, keys, user)?;
-        let user_public = self.parties[user.index()].rsa.public.clone();
+        let Prepared {
+            job,
+            request_bytes,
+            requests,
+        } = self.prepare(ext, keys, user)?;
+        let spec = &job.spec;
+        let views = &self.core.views;
 
         // Envelopes open and verify at their recipients (here: inline,
         // since everything runs on one thread).
-        for (to, envelope, expected) in &prepared.envelopes {
+        for (to, envelope, expected) in &job.envelopes {
             let opened = envelope
-                .open(&self.parties[to.index()].rsa, &user_public)
+                .open(&self.parties[to.index()].rsa, &job.user_public)
                 .ok_or(SimError::Envelope { to: *to })?;
             if &opened != expected {
                 return Err(SimError::Envelope { to: *to });
             }
         }
 
-        // ---- 4. bottom-up execution, one subject at a time ----------
-        let mut transfers = prepared.transfers.clone();
+        // ---- bottom-up execution, one subject at a time -------------
+        let mut transfers = request_bytes.clone();
         let mut results: HashMap<NodeId, Table> = HashMap::new();
-        for &id in &prepared.order {
+        for &id in &job.order {
             // Footnote-2 fused Encrypts never execute as standalone
             // steps: their parent Select filters the plaintext input
             // and encrypts only the survivors.
-            if prepared.fused.contains(&id) {
+            if spec.fused.contains(&id) {
                 continue;
             }
-            let executor = ext.assignment[&id];
+            let executor = spec.assignment[&id];
             // Tables produced by another subject cross the wire here:
             // account the bytes and audit every cell against the
             // receiving subject's view. Fused Encrypts are looked
             // through to the plaintext operands actually consumed.
-            for child in effective_children(&prepared.exec_plan, id, &prepared.fused) {
-                let producer = ext.assignment[&child];
+            for child in effective_children(&spec.plan, id, &spec.fused) {
+                let producer = spec.assignment[&child];
                 if producer != executor {
                     let table = results.get(&child).expect("child executed before parent");
-                    audit::audit_transfer_with(table, &self.views[executor.index()], &self.pool)?;
+                    audit::audit_transfer_with(table, &views[executor.index()], &job.pool)?;
                     *transfers.entry((producer, executor)).or_default() += table.byte_size();
                 }
             }
             let party = &self.parties[executor.index()];
             let ctx = ExecCtx::builder(
-                &self.catalog,
+                &self.core.catalog,
                 &party.store,
                 &party.ring,
-                &prepared.schemes,
-                &prepared.key_of_attr,
+                &spec.schemes,
+                &spec.key_of_attr,
             )
-            .pool(self.pool.clone())
-            .seed(prepared.exec_seed)
+            .pool(job.pool.clone())
+            .seed(spec.exec_seed)
             .build();
-            let table = execute_step(&prepared.exec_plan, id, &mut results, &ctx)?;
+            let table = execute_step(&spec.plan, id, &mut results, &ctx)?;
             results.insert(id, table);
         }
 
-        // ---- 5. deliver the result to the user ----------------------
-        let root = prepared.exec_plan.root();
-        let root_subject = ext.assignment[&root];
+        // ---- deliver the result to the user --------------------------
+        let root = spec.plan.root();
+        let root_subject = spec.assignment[&root];
         let result = results.remove(&root).expect("root executed");
-        audit::audit_transfer_with(&result, &self.views[user.index()], &self.pool)?;
+        audit::audit_transfer_with(&result, &views[user.index()], &job.pool)?;
         if root_subject != user {
             *transfers.entry((root_subject, user)).or_default() += result.byte_size();
         }
@@ -761,15 +442,15 @@ impl Session {
         Ok(Report {
             result,
             transfers,
-            request_bytes: prepared.transfers.clone(),
-            requests: prepared.requests,
+            request_bytes,
+            requests,
         })
     }
 
     /// Amortization counters: clusters provisioned vs re-used, public
     /// halves delivered, queries served.
     pub fn stats(&self) -> SessionStats {
-        self.stats
+        self.core.stats
     }
 
     /// Swap the transport fault schedule for the session's *next*
@@ -800,23 +481,21 @@ impl Session {
     /// Number of cluster keys currently cached (provisioned and not
     /// revoked).
     pub fn cached_clusters(&self) -> usize {
-        self.cache.len()
+        self.core.cached()
     }
 
     /// Forget every provisioned cluster (the material is also dropped
     /// from the holders' rings) without touching the party threads.
     /// The next query provisions from scratch, with session-wide key
-    /// ids restarting at 0 — which is exactly how
-    /// [`Simulator`](crate::Simulator) turns each `run` into an
-    /// independent one-query session.
+    /// ids restarting at 0, exactly like the first query of a fresh
+    /// session: callers that need fresh Def. 6.1 material per query
+    /// call this before each one.
     pub fn reset_provisioning(&mut self) {
-        for cached in self.cache.values() {
+        for id in self.core.forget_all() {
             for party in self.parties.iter() {
-                party.ring.revoke(cached.material.id);
+                party.ring.revoke(id);
             }
         }
-        self.cache.clear();
-        self.next_key_id = 0;
     }
 
     /// Revoke the full cluster key `id` from every party, keeping only
@@ -828,13 +507,7 @@ impl Session {
         for party in self.parties.iter() {
             party.ring.revoke(id);
         }
-        self.cache.retain(|_, c| c.material.id != id);
-    }
-
-    /// The RSA public key of a subject (for tests probing the envelope
-    /// layer).
-    pub fn public_key_of(&self, s: SubjectId) -> RsaPublic {
-        self.parties[s.index()].rsa.public.clone()
+        self.core.forget(id);
     }
 
     /// `true` if `s` currently holds the full cluster key `id`.
@@ -845,7 +518,8 @@ impl Session {
     /// Which base relations a subject stores (the authority
     /// partitioning computed by [`Session::open`]).
     pub fn stored_relations(&self, s: SubjectId) -> Vec<RelId> {
-        self.catalog
+        self.core
+            .catalog
             .relations()
             .iter()
             .map(|r| r.rel)

@@ -801,6 +801,19 @@ impl Control {
         })
     }
 
+    /// `true` if the peer has closed the connection (or it failed).
+    /// Peeks without consuming, so a pending frame stays readable.
+    pub(crate) fn peer_closed(&self) -> bool {
+        if self.stream.set_nonblocking(true).is_err() {
+            return true;
+        }
+        let closed = match self.stream.peek(&mut [0u8; 1]) {
+            Ok(n) => n == 0,
+            Err(e) => e.kind() != std::io::ErrorKind::WouldBlock,
+        };
+        self.stream.set_nonblocking(false).is_err() || closed
+    }
+
     /// Sever the connection — the coordinator's control-plane `Reset`
     /// injection, and a cheap way for tests to simulate a dying peer.
     pub(crate) fn shutdown(&mut self) {

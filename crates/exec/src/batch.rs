@@ -97,11 +97,6 @@ impl ColumnVec {
         ColumnVec::Int(v)
     }
 
-    /// Dense numeric column.
-    pub fn from_nums(v: Vec<f64>) -> ColumnVec {
-        ColumnVec::Num(v)
-    }
-
     /// Column from logical values, densifying when uniform.
     pub fn from_values(vals: Vec<Value>) -> ColumnVec {
         if !vals.is_empty() && vals.iter().all(|v| matches!(v, Value::Int(_))) {
@@ -163,14 +158,6 @@ impl ColumnVec {
     pub fn as_nums(&self) -> Option<&[f64]> {
         match self {
             ColumnVec::Num(v) => Some(v),
-            _ => None,
-        }
-    }
-
-    /// General value view, when in the general representation.
-    pub fn as_values(&self) -> Option<&[Value]> {
-        match self {
-            ColumnVec::Val(v) => Some(v),
             _ => None,
         }
     }

@@ -54,16 +54,6 @@ impl Table {
         Table { schema, cols }
     }
 
-    /// The whole table as one batch (columns are cloned).
-    pub fn to_batch(&self) -> Batch {
-        Batch::new(self.schema.clone(), self.cols.clone())
-    }
-
-    /// Consume into one batch.
-    pub fn into_batch(self) -> Batch {
-        Batch::new(self.schema, self.cols)
-    }
-
     /// Materialize as value rows (compat layer; prefer the columnar
     /// accessors on hot paths).
     pub fn to_rows(&self) -> Vec<Vec<Value>> {

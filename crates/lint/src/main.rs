@@ -18,6 +18,12 @@
 //!   exactly one file, `dist/src/transport.rs`: everything above the
 //!   `Transport` seam must be wire-agnostic, so the in-proc and TCP
 //!   backends stay behaviorally interchangeable by construction.
+//! * **protocol-confinement** — within `crates/dist/src`, the §6
+//!   protocol steps (`SignedEnvelope::seal`, `ClusterKey::generate`,
+//!   `verify_extended`, `rewrite_literals`, `dispatch(`) appear only in
+//!   `dist/src/coordinator.rs`: the in-proc session and the federated
+//!   coordinator share one implementation of each step, and a second
+//!   copy cannot drift from it because it cannot be written.
 //!
 //! The scan strips comments and string literals and skips
 //! `#[cfg(test)]` modules, so documentation and tests may freely
@@ -62,6 +68,22 @@ const NET_ALLOWED: &str = "crates/dist/src/transport.rs";
 
 /// Tokens that touch the network.
 const NET_TOKENS: [&str; 3] = ["std::net", "TcpListener", "TcpStream"];
+
+/// The tree whose §6 protocol steps are confined to one file.
+const PROTOCOL_SCOPE: &str = "crates/dist/src";
+
+/// The coordinator core: the one home of every protocol step.
+const PROTOCOL_ALLOWED: &str = "crates/dist/src/coordinator.rs";
+
+/// Tokens naming a §6 protocol step: request sealing, Def. 6.1 key
+/// generation, the static pre-flight, literal rewriting, dispatch.
+const PROTOCOL_TOKENS: [&str; 5] = [
+    "SignedEnvelope::seal",
+    "ClusterKey::generate",
+    "verify_extended",
+    "rewrite_literals",
+    "dispatch(",
+];
 
 /// Tokens that break run-to-run determinism.
 const DETERMINISM_TOKENS: [&str; 5] = [
@@ -397,6 +419,7 @@ fn lint_file(root: &Path, path: &Path, findings: &mut Vec<Finding>) {
     let unwrap_scoped = in_scope(rel, &UNWRAP_SCOPE);
     let engine_scoped = in_scope(rel, &ENGINE_SCOPE);
     let spawn_allowed = SPAWN_ALLOWED.iter().any(|a| rel == Path::new(a));
+    let protocol_confined = rel.starts_with(PROTOCOL_SCOPE) && rel != Path::new(PROTOCOL_ALLOWED);
     if engine_scoped {
         lint_retry_budgets(rel, &cleaned, &skip, findings);
     }
@@ -454,6 +477,20 @@ fn lint_file(root: &Path, path: &Path, findings: &mut Vec<Finding>) {
                         format!(
                             "`{t}` outside transport.rs — sockets are confined to the \
                              Transport seam so backends stay interchangeable"
+                        ),
+                    );
+                }
+            }
+        }
+        if protocol_confined {
+            for t in PROTOCOL_TOKENS {
+                if line.contains(t) {
+                    record(
+                        findings,
+                        "protocol-confinement",
+                        format!(
+                            "`{t}` outside coordinator.rs — every §6 protocol step has \
+                             one implementation, shared by Session and Coordinator"
                         ),
                     );
                 }
@@ -605,6 +642,31 @@ mod tests {
         assert_eq!(flagged.len(), 2, "{flagged:?}");
         assert!(flagged[0].contains("retry_forever"));
         assert!(flagged[1].contains("reconnect_unbudgeted"));
+    }
+
+    #[test]
+    fn protocol_steps_outside_the_core_are_flagged() {
+        let src = "
+fn prepare() { let e = SignedEnvelope::seal(rng, p, k, pk); }
+#[cfg(test)]
+mod tests {
+    fn t() { ClusterKey::generate(rng, 0, 256); }
+}
+";
+        let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+            .join("target")
+            .join("lint-protocol-fixture");
+        let rel_dir = dir.join("crates/dist/src");
+        std::fs::create_dir_all(&rel_dir).expect("fixture dir");
+        for name in ["session.rs", "coordinator.rs"] {
+            std::fs::write(rel_dir.join(name), src).unwrap();
+        }
+        let mut findings = Vec::new();
+        lint_file(&dir, &rel_dir.join("session.rs"), &mut findings);
+        lint_file(&dir, &rel_dir.join("coordinator.rs"), &mut findings);
+        let rules: Vec<(&str, usize)> = findings.iter().map(|f| (f.rule, f.line)).collect();
+        assert_eq!(rules, vec![("protocol-confinement", 2)], "{rules:?}");
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -25,8 +25,9 @@
 //! [`crypto`] (the four encryption schemes + envelopes), [`exec`]
 //! (plaintext/encrypted execution), [`tpch`] (the §7 workload),
 //! [`planner`] (economic optimization), and [`dist`] (the distributed
-//! runtime: persistent multi-query [`dist::Session`]s and the
-//! one-query [`dist::Simulator`]). The repository-level
+//! runtime: in-process [`dist::Session`]s and the federated
+//! [`dist::Coordinator`], one §6 protocol core behind both). The
+//! repository-level
 //! `ARCHITECTURE.md` maps the crates, the life of a query, and every
 //! paper definition to its module and test.
 

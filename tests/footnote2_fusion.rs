@@ -21,7 +21,7 @@ use mpq::core::capability::CapabilityPolicy;
 use mpq::core::extend::{minimally_extend, Assignment, ExtendedPlan};
 use mpq::core::fixtures::RunningExample;
 use mpq::core::keys::plan_keys;
-use mpq::dist::{Report, SessionConfig, Simulator};
+use mpq::dist::{Report, Session, SessionConfig};
 use mpq::exec::{fused_encrypt_child, Database};
 use proptest::prelude::*;
 
@@ -45,7 +45,7 @@ fn lambda(ex: &RunningExample) -> Candidates {
 
 /// The fusion sites of an extended plan: Encrypt nodes whose parent
 /// Select is fusible (engine predicate) and shares their assignee.
-/// This mirrors `mpq_dist::session::fusion_sites` from the outside.
+/// This mirrors `mpq_dist::coordinator`'s fusion sites from the outside.
 fn fusion_sites(ext: &ExtendedPlan) -> Vec<mpq::algebra::NodeId> {
     let mut out = Vec::new();
     for id in ext.plan.postorder() {
@@ -107,12 +107,12 @@ fn run_pair(
     let keys = plan_keys(ext);
     let user = ex.subject("U");
     let config = SessionConfig::new(seed).fuse(fuse);
-    let mut sim = Simulator::with_config(&ex.catalog, &ex.subjects, &ex.policy, db, config);
+    let mut sim = Session::open_with(&ex.catalog, &ex.subjects, &ex.policy, db, config);
     if sequential {
-        sim.run_sequential(ext, &keys, user)
+        sim.execute_sequential(ext, &keys, user)
             .expect("authorized run")
     } else {
-        sim.run(ext, &keys, user).expect("authorized run")
+        sim.execute(ext, &keys, user).expect("authorized run")
     }
 }
 

@@ -1,6 +1,6 @@
 //! Session-reuse differential tests: a persistent `Session` executing
 //! N queries must be observationally equivalent to N fresh
-//! `Simulator::run`s — same decrypted results, same data-flow bytes on
+//! fresh single-query sessions — same decrypted results, same data-flow bytes on
 //! every edge, same signed-request accounting — while provisioning each
 //! Def. 6.1 cluster exactly once.
 //!
@@ -19,7 +19,7 @@ use mpq::core::capability::CapabilityPolicy;
 use mpq::core::extend::{minimally_extend, Assignment, ExtendedPlan};
 use mpq::core::fixtures::RunningExample;
 use mpq::core::keys::{plan_keys, KeyPlan};
-use mpq::dist::{Report, Session, SimError, Simulator};
+use mpq::dist::{Report, Session, SessionConfig, SimError};
 use mpq::exec::Database;
 use proptest::prelude::*;
 
@@ -112,7 +112,7 @@ proptest! {
 
     /// N repetitions of one query through a single `Session` are
     /// bit-equivalent (results *and* data-flow bytes per edge) to N
-    /// fresh `Simulator::run`s, with every cluster provisioned once.
+    /// fresh single-query sessions, with every cluster provisioned once.
     #[test]
     fn session_queries_match_fresh_simulator_runs(
         seed in any::<u64>(),
@@ -131,8 +131,8 @@ proptest! {
             let via_session = session
                 .execute(&ext, &keys, user)
                 .expect("authorized session query");
-            let fresh = Simulator::new(&ex.catalog, &ex.subjects, &ex.policy, &db, seed)
-                .run(&ext, &keys, user)
+            let fresh = Session::open(&ex.catalog, &ex.subjects, &ex.policy, &db, seed)
+                .execute(&ext, &keys, user)
                 .expect("authorized fresh run");
             assert_rows_match(&via_session, &fresh, &format!("query {i}"));
             // Ciphertext-sensitive probe: the session reuses the very
@@ -185,8 +185,8 @@ proptest! {
                 let via_session = session
                     .execute(ext, keys, user)
                     .expect("authorized session query");
-                let fresh = Simulator::new(&ex.catalog, &ex.subjects, &ex.policy, &db, seed)
-                    .run(ext, keys, user)
+                let fresh = Session::open(&ex.catalog, &ex.subjects, &ex.policy, &db, seed)
+                    .execute(ext, keys, user)
                     .expect("authorized fresh run");
                 assert_rows_match(&via_session, &fresh, &format!("round {round} item {i}"));
                 prop_assert_eq!(via_session.requests, fresh.requests);
@@ -271,8 +271,13 @@ fn errors_abort_the_query_not_the_session() {
     for key in &mut weak_keys.keys {
         key.holders.retain(|&s| s != ex.subject("Y"));
     }
-    let mut weak_session =
-        Session::open(&ex.catalog, &ex.subjects, &ex.policy, &db, 47).without_preflight();
+    let mut weak_session = Session::open_with(
+        &ex.catalog,
+        &ex.subjects,
+        &ex.policy,
+        &db,
+        SessionConfig::new(47).without_preflight(),
+    );
     match weak_session.execute(&ext, &weak_keys, user) {
         Err(SimError::Exec(mpq::exec::ExecError::MissingKey { .. })) => {}
         other => panic!("expected MissingKey, got {other:?}"),
