@@ -14,27 +14,19 @@
 //! * `cargo run -p mpq-bench --bin calibrate --release` — fit the
 //!   price book's execution constants against measured `mpq-exec`/
 //!   `mpq-dist`/`mpq-crypto` behavior (see [`calibrate`]);
-//! * `cargo run -p mpq-bench --bin bench_diff --release` — the CI
-//!   perf gate: diff a fresh `BENCH_dist.json` against the committed
-//!   `BENCH_baseline.json` (see [`diff`]);
 //! * `cargo run -p mpq-bench --bin ablation --release` — the §5
 //!   maximize-/minimize-visibility strategies versus the minimal
 //!   extension;
-//! * `cargo run -p mpq-bench --bin throughput --release` — the
-//!   [`throughput`] harness: N concurrent query sessions through the
-//!   `mpq-dist` multi-party runtime (Fig. 7 plans + optimized TPC-H
-//!   queries over generated data), writing latency percentiles,
-//!   queries/sec, and bytes-on-the-wire to `BENCH_dist.json`
-//!   (`--smoke` for the CI gate; `--session` additionally measures
-//!   the persistent-`Session` path and records the Def. 6.1
-//!   amortization win);
+//! * `cargo run -p mpq-bench --bin verify_plans --release` — the
+//!   static verifier over the whole plan corpus;
 //! * `cargo bench -p mpq-bench` — criterion microbenchmarks for the
 //!   crypto substrate, candidate computation, minimal extension, and
 //!   the optimizer.
+//!
+//! Runtime latency, throughput and memory are measured by the
+//! repository benchmark in `perfbench/`, not by this crate.
 
 pub mod calibrate;
-pub mod diff;
-pub mod throughput;
 
 use mpq_algebra::stats::StatsCatalog;
 use mpq_core::capability::CapabilityPolicy;

@@ -172,8 +172,8 @@ impl RunningExample {
         *self.named_nodes.get(name).expect("fixture node name")
     }
 
-    /// The five-patient `Hosp` sample used by the examples and the
-    /// throughput harness (rows in catalog column order `S, B, D, T`).
+    /// The five-patient `Hosp` sample used by the examples and tests
+    /// (rows in catalog column order `S, B, D, T`).
     /// Three of the four stroke patients are on tPA, giving the
     /// running example's `HAVING avg(P) > 100` a non-trivial answer.
     pub fn sample_hosp_rows() -> Vec<Vec<Value>> {

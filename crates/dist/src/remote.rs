@@ -134,8 +134,8 @@ pub struct ServerConfig {
     pub view: SubjectView,
     /// This subject's partition of the base relations.
     pub store: Database,
-    /// Fault schedule for this server's *sending* data plane (falls
-    /// back to `MPQ_FAULTS` when `None`).
+    /// Fault schedule for this server's *sending* data plane (`None`
+    /// injects nothing).
     pub faults: Option<FaultPlan>,
     /// Retry budget and backoff shape for data-plane sends.
     pub retry: RetryPolicy,
@@ -205,12 +205,11 @@ impl Server {
             self.peers.clone(),
             CONNECT_TIMEOUT,
         ));
-        let plan = self.faults.clone().or_else(FaultPlan::from_env);
         let wire = Wire::new(
             self.st.me,
             self.seed,
             backend,
-            Arc::new(Mutex::new(FaultState::new(plan))),
+            Arc::new(Mutex::new(FaultState::new(self.faults.clone()))),
             self.retry,
             Arc::new(WireStats::default()),
         );
@@ -518,8 +517,7 @@ impl Coordinator {
             view: core.views[user.index()].clone(),
             party: Arc::clone(&own),
         };
-        let plan = config.faults.clone().or_else(FaultPlan::from_env);
-        let faults = Arc::new(Mutex::new(FaultState::new(plan.clone())));
+        let faults = Arc::new(Mutex::new(FaultState::new(config.faults.clone())));
         let wire_stats = Arc::new(WireStats::default());
         let backend: Arc<dyn Transport> =
             Arc::new(TcpTransport::new(user, servers.clone(), CONNECT_TIMEOUT));
@@ -530,7 +528,7 @@ impl Coordinator {
             server_publics: HashMap::new(),
             server_addrs: servers.clone(),
             provisioned: HashMap::new(),
-            ctl_faults: FaultState::new(plan),
+            ctl_faults: FaultState::new(config.faults.clone()),
             retry: config.retry,
             seed: config.seed,
             pending_execute: HashMap::new(),

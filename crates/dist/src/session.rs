@@ -87,8 +87,7 @@ pub struct SessionConfig {
     /// the query, not hang it).
     pub timeout: Option<Duration>,
     /// Deterministic transport-fault schedule (chaos testing). `None`
-    /// falls back to the `MPQ_FAULTS` environment variable, then to no
-    /// injection.
+    /// injects nothing.
     pub faults: Option<FaultPlan>,
     /// Bounded per-message retry with seeded backoff, applied to every
     /// data-plane send (real failures and injected ones alike).
@@ -309,8 +308,7 @@ impl Session {
         }
         let core = Core::new(catalog, subjects, policy, rng, &config);
         let parties: Vec<Arc<Party>> = parties.into_iter().map(Arc::new).collect();
-        let plan = config.faults.clone().or_else(FaultPlan::from_env);
-        let faults = Arc::new(Mutex::new(FaultState::new(plan)));
+        let faults = Arc::new(Mutex::new(FaultState::new(config.faults.clone())));
         let wire_stats = Arc::new(WireStats::default());
         let threads = PartyThreads::spawn(
             &core.catalog,

@@ -24,9 +24,7 @@
 //!   tables never pay a spawn.
 //!
 //! The worker count comes from the `MPQ_WORKERS` environment variable
-//! when set (the `throughput` binary's `--workers` flag sets it
-//! programmatically via [`WorkerPool::init_global`]), defaulting to
-//! [`std::thread::available_parallelism`].
+//! when set, defaulting to [`std::thread::available_parallelism`].
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -83,12 +81,6 @@ impl WorkerPool {
                 WorkerPool::new(n)
             })
             .clone()
-    }
-
-    /// Fix the global pool's worker count before first use. Returns
-    /// `false` (and changes nothing) if the global pool already exists.
-    pub fn init_global(workers: usize) -> bool {
-        GLOBAL.set(WorkerPool::new(workers)).is_ok()
     }
 
     /// The pool's total worker target.

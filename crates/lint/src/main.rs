@@ -1,5 +1,5 @@
 //! `mpq-lint` — dependency-free, token-scan enforcement of the repo
-//! invariants CI gates on. Three rules:
+//! invariants CI gates on. The rules:
 //!
 //! * **no-unwrap** — no `.unwrap()` in non-test library code of the
 //!   execution hot paths (`crates/exec/src`, `crates/dist/src`): a
@@ -24,6 +24,10 @@
 //!   `dist/src/coordinator.rs`: the in-proc session and the federated
 //!   coordinator share one implementation of each step, and a second
 //!   copy cannot drift from it because it cannot be written.
+//! * **wire-capacity** — every `with_capacity(` in
+//!   `dist/src/codec.rs` sizes through `r.cap(..)`, which clamps a
+//!   length read off the wire to the bytes left in the frame: a forged
+//!   row or element count must fail to decode, not allocate gigabytes.
 //!
 //! The scan strips comments and string literals and skips
 //! `#[cfg(test)]` modules, so documentation and tests may freely
@@ -84,6 +88,13 @@ const PROTOCOL_TOKENS: [&str; 5] = [
     "rewrite_literals",
     "dispatch(",
 ];
+
+/// The wire decoder, where every preallocation is sized by a peer.
+const WIRE_CAPACITY_FILE: &str = "crates/dist/src/codec.rs";
+
+/// The one sanctioned argument of a decoder `with_capacity(`: the
+/// `Reader`'s clamp to the bytes left in the frame.
+const WIRE_CAPACITY_CLAMP: &str = "r.cap(";
 
 /// Tokens that break run-to-run determinism.
 const DETERMINISM_TOKENS: [&str; 5] = [
@@ -420,6 +431,7 @@ fn lint_file(root: &Path, path: &Path, findings: &mut Vec<Finding>) {
     let engine_scoped = in_scope(rel, &ENGINE_SCOPE);
     let spawn_allowed = SPAWN_ALLOWED.iter().any(|a| rel == Path::new(a));
     let protocol_confined = rel.starts_with(PROTOCOL_SCOPE) && rel != Path::new(PROTOCOL_ALLOWED);
+    let wire_decoder = rel == Path::new(WIRE_CAPACITY_FILE);
     if engine_scoped {
         lint_retry_budgets(rel, &cleaned, &skip, findings);
     }
@@ -492,6 +504,19 @@ fn lint_file(root: &Path, path: &Path, findings: &mut Vec<Finding>) {
                             "`{t}` outside coordinator.rs — every §6 protocol step has \
                              one implementation, shared by Session and Coordinator"
                         ),
+                    );
+                }
+            }
+        }
+        if wire_decoder {
+            for arg in line.split("with_capacity(").skip(1) {
+                if !arg.trim_start().starts_with(WIRE_CAPACITY_CLAMP) {
+                    record(
+                        findings,
+                        "wire-capacity",
+                        "`with_capacity` not sized through `r.cap(..)` — a length \
+                         read off the wire must be clamped to the bytes left in the frame"
+                            .to_string(),
                     );
                 }
             }
@@ -666,6 +691,36 @@ mod tests {
         lint_file(&dir, &rel_dir.join("coordinator.rs"), &mut findings);
         let rules: Vec<(&str, usize)> = findings.iter().map(|f| (f.rule, f.line)).collect();
         assert_eq!(rules, vec![("protocol-confinement", 2)], "{rules:?}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn unclamped_wire_capacities_are_flagged() {
+        let src = "
+fn get_list(r: &mut Reader) -> Option<Vec<u8>> {
+    let n = r.u32()? as usize;
+    let mut ok = Vec::with_capacity(r.cap(n));
+    let mut bad = Vec::with_capacity(n);
+    None
+}
+#[cfg(test)]
+mod tests {
+    fn t() { let v = Vec::with_capacity(1 << 40); }
+}
+";
+        let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+            .join("target")
+            .join("lint-wire-capacity-fixture");
+        let rel_dir = dir.join("crates/dist/src");
+        std::fs::create_dir_all(&rel_dir).expect("fixture dir");
+        for name in ["codec.rs", "session.rs"] {
+            std::fs::write(rel_dir.join(name), src).unwrap();
+        }
+        let mut findings = Vec::new();
+        lint_file(&dir, &rel_dir.join("codec.rs"), &mut findings);
+        lint_file(&dir, &rel_dir.join("session.rs"), &mut findings);
+        let rules: Vec<(&str, usize)> = findings.iter().map(|f| (f.rule, f.line)).collect();
+        assert_eq!(rules, vec![("wire-capacity", 5)], "{rules:?}");
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -5,9 +5,10 @@
 //! that backends only move bytes — every other property (decrypted
 //! result rows, per-edge *data* bytes, request counts) is fixed by the
 //! seed and the plan. These tests hold both backends to that promise
-//! over the paper's Fig. 7 plans, random Λ-drawn assignments, and a
-//! TPC-H query, and additionally pin the decrypted rows to a plaintext
-//! reference execution (no silent corruption in either backend).
+//! over the paper's Fig. 7 plans, random Λ-drawn assignments, and two
+//! TPC-H queries, and additionally pin the TPC-H rows to the
+//! sequential interpreter and a plaintext reference execution (no
+//! silent corruption in either backend).
 //!
 //! Envelope bytes are excluded from the comparison
 //! ([`Report::data_bytes`] subtracts them): hybrid-encryption session
@@ -146,45 +147,62 @@ fn tcp_matches_inproc_on_fig7_plans() {
 
 #[test]
 fn tcp_matches_inproc_and_reference_on_tpch() {
-    // TPC-H Q6 under the §7 UAPenc scenario at a small scale factor:
-    // plan with the real pipeline, run under both transports, and pin
-    // the decrypted rows to the plaintext reference.
+    // TPC-H Q1 (scan → select → group-by) and Q6 under the §7 UAPenc
+    // scenario at a small scale factor: plan with the real pipeline,
+    // run under both transports and through the sequential reference
+    // interpreter, and pin the decrypted rows to the plaintext
+    // reference.
     let (catalog, db) = mpq::tpch::generate(0.005, 42);
     let env = build_scenario(&catalog, Scenario::UAPenc);
-    let plan = mpq::tpch::query_plan(&catalog, 6);
     let stats = collect_stats(&catalog, &db, &SampleConfig::default());
-    let opt = optimize(
-        &plan,
-        &catalog,
-        &stats,
-        &env,
-        &CapabilityPolicy::tpch_evaluation(),
-        Strategy::CostDp,
-    )
-    .expect("Q6 optimizes");
-
-    let (a, b) = run_both(
-        &catalog,
-        &env.subjects,
-        &env.policy,
-        &db,
-        &opt.extended,
-        &opt.keys,
-        env.user,
-        23,
-    );
-    assert_identical(&a, &b, "tpch-q6");
-
     let ring = KeyRing::new();
     let schemes = SchemePlan::default();
     let koa = HashMap::new();
     let ctx = ExecCtx::new(&catalog, &db, &ring, &schemes, &koa);
-    let reference = execute(&plan, &ctx).expect("plaintext Q6");
-    assert_eq!(
-        sorted(a.result.to_rows()),
-        sorted(reference.to_rows()),
-        "decrypted TCP result equals the plaintext reference"
-    );
+    for q in [1, 6] {
+        let what = format!("tpch-q{q}");
+        let plan = mpq::tpch::query_plan(&catalog, q);
+        let opt = optimize(
+            &plan,
+            &catalog,
+            &stats,
+            &env,
+            &CapabilityPolicy::tpch_evaluation(),
+            Strategy::CostDp,
+        )
+        .unwrap_or_else(|e| panic!("{what} optimizes: {e}"));
+
+        let (a, b) = run_both(
+            &catalog,
+            &env.subjects,
+            &env.policy,
+            &db,
+            &opt.extended,
+            &opt.keys,
+            env.user,
+            23,
+        );
+        assert_identical(&a, &b, &what);
+
+        let seq = Session::open_with(
+            &catalog,
+            &env.subjects,
+            &env.policy,
+            &db,
+            SessionConfig::new(23),
+        )
+        .execute_sequential(&opt.extended, &opt.keys, env.user)
+        .expect("sequential run of an authorized plan");
+        assert_identical(&a, &seq, &format!("{what} concurrent vs sequential"));
+
+        let reference = execute(&plan, &ctx).expect("plaintext reference");
+        assert!(!reference.is_empty(), "{what} returns rows");
+        assert_eq!(
+            sorted(a.result.to_rows()),
+            sorted(reference.to_rows()),
+            "{what}: decrypted result equals the plaintext reference"
+        );
+    }
 }
 
 proptest! {
