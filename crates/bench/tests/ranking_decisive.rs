@@ -8,8 +8,9 @@
 //! (measured up to 6.5× slower than the all-at-user plan) yet priced
 //! *identically* to it — `"decisive": false` pairs whose tie hid a
 //! genuine modeling error. The credit is now gated on the engine's
-//! actual footnote-2 fusion (`mpq_exec::fused_encrypt_child` + same
-//! assignee), so the lower price only applies to plans the engine
+//! actual footnote-2 fusion (`mpq_exec::engine::fused_encrypt_child`
+//! plus the same assignee, which puts the Select and its Encrypt in
+//! one runtime segment), so the lower price only applies to plans the engine
 //! really reorders, and the CostDp-vs-all-at-user pairs stay *honest*
 //! ties: equal model cost only when the two plans are
 //! crypto-equivalent (and measurement agrees they tie). These tests

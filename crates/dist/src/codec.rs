@@ -28,7 +28,7 @@ use mpq_algebra::{AttrId, NodeId, RelId, SubjectId, Value};
 use mpq_crypto::bignum::BigUint;
 use mpq_crypto::rsa::{RsaPublic, SignedEnvelope};
 use mpq_exec::{Batch, ColumnVec, SchemePlan, Table, TableSchema};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::time::Duration;
 
 // ---------------------------------------------------------------------------
@@ -783,12 +783,6 @@ fn put_job_spec(b: &mut Vec<u8>, j: &JobSpec) {
         put_u32(b, n.0);
         put_u32(b, s.0);
     }
-    let mut fused: Vec<NodeId> = j.fused.iter().copied().collect();
-    fused.sort_by_key(|n| n.0);
-    put_u32(b, fused.len() as u32);
-    for n in fused {
-        put_u32(b, n.0);
-    }
     put_u32(b, j.user.0);
     put_u64(b, j.exec_seed);
     // Milliseconds, 0 = wait forever.
@@ -824,17 +818,19 @@ fn get_job_spec(r: &mut Reader) -> Option<JobSpec> {
         let s = SubjectId(r.u32()?);
         assignment.insert(node, s);
     }
-    let n = r.u32()? as usize;
-    let mut fused = HashSet::with_capacity(r.cap(n));
-    for _ in 0..n {
-        fused.insert(NodeId(r.u32()?));
+    // A node nobody executes cannot be cut into a party's segments.
+    if plan
+        .postorder()
+        .iter()
+        .any(|id| !assignment.contains_key(id))
+    {
+        return None;
     }
     Some(JobSpec {
         plan,
         schemes,
         key_of_attr,
         assignment,
-        fused,
         user: SubjectId(r.u32()?),
         exec_seed: r.u64()?,
         timeout: Some(r.u64()?)
@@ -1222,6 +1218,37 @@ mod tests {
         let mut p = Vec::new();
         put_u32(&mut p, u32::MAX);
         assert!(get_plan(&mut Reader::new(&p)).is_none());
+    }
+
+    #[test]
+    fn partial_assignments_are_rejected() {
+        use mpq_core::fixtures::RunningExample;
+        let ext = RunningExample::new().fig7a_extended();
+        let spec = |assignment| JobSpec {
+            plan: ext.plan.clone(),
+            schemes: SchemePlan::default(),
+            key_of_attr: HashMap::new(),
+            assignment,
+            user: SubjectId(0),
+            exec_seed: 1,
+            timeout: None,
+        };
+        let execute = |job| {
+            encode_frame(&Frame::Execute {
+                epoch: 1,
+                job,
+                envelope: SignedEnvelope {
+                    wrapped_key: vec![1],
+                    body: vec![2],
+                    signature: vec![3],
+                },
+            })
+        };
+        assert!(decode_frame(&execute(spec(ext.assignment.clone()))).is_some());
+        // A forged Execute whose assignment misses one reachable node.
+        let mut partial = ext.assignment.clone();
+        partial.remove(&ext.plan.root());
+        assert!(decode_frame(&execute(spec(partial))).is_none());
     }
 
     #[test]

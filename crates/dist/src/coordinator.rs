@@ -20,8 +20,9 @@
 //!    sub-queries, batched per recipient into one
 //!    `[[q_S, keys]_priU]_pubS` envelope each (the user's own batch
 //!    included: its share opens it like every other party's).
-//! 6. **the job** — participants and footnote-2 fusion sites, decided
-//!    once and shipped to every party (see `QueryJob::new`).
+//! 6. **the job** — the rewritten plan, schemes, key ids and
+//!    assignment, shipped to every party; each party cuts it into the
+//!    same segments (see `QueryJob::new`).
 //!
 //! Only two things differ between deployments: how a key reaches its
 //! holder and where a party's RSA public key comes from. Both sit behind
@@ -33,7 +34,7 @@ use crate::error::SimError;
 use crate::runtime::{JobSpec, QueryJob};
 use crate::session::{SessionConfig, SessionStats};
 use crate::PAILLIER_BITS;
-use mpq_algebra::{AttrId, Catalog, NodeId, Operator, QueryPlan, SubjectId};
+use mpq_algebra::{AttrId, Catalog, NodeId, Operator, SubjectId};
 use mpq_core::authz::{Policy, SubjectView};
 use mpq_core::dispatch::dispatch;
 use mpq_core::extend::ExtendedPlan;
@@ -42,7 +43,7 @@ use mpq_core::subjects::Subjects;
 use mpq_crypto::keyring::{ClusterKey, KeyRing};
 use mpq_crypto::paillier::PaillierPublic;
 use mpq_crypto::rsa::{RsaKeypair, RsaPublic, SignedEnvelope};
-use mpq_exec::{assign_schemes, fused_encrypt_child, rewrite_literals, WorkerPool};
+use mpq_exec::{assign_schemes, rewrite_literals, WorkerPool};
 use rand::rngs::StdRng;
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
@@ -114,7 +115,6 @@ pub(crate) struct Core {
     /// Receive timeout every job carries (`None` waits forever).
     pub(crate) timeout: Option<Duration>,
     preflight: bool,
-    fuse: bool,
     cache: HashMap<ClusterSig, CachedCluster>,
     /// Next cluster-key id. Plan-local key ids (positions in a
     /// `KeyPlan`) are remapped onto these so material cached from one
@@ -145,7 +145,6 @@ impl Core {
             },
             timeout: config.effective_timeout(),
             preflight: config.preflight,
-            fuse: config.fuse,
             cache: HashMap::new(),
             next_key_id: 0,
             stats: SessionStats::default(),
@@ -284,17 +283,11 @@ impl Core {
         }
 
         // ---- 6. the job --------------------------------------------
-        let fused = if self.fuse {
-            fusion_sites(&exec_plan, &ext.assignment)
-        } else {
-            HashSet::new()
-        };
         let spec = JobSpec {
             plan: exec_plan,
             schemes,
             key_of_attr,
             assignment: ext.assignment.clone(),
-            fused,
             user,
             exec_seed: self.exec_seed,
             timeout: self.timeout,
@@ -360,19 +353,4 @@ impl Core {
     pub(crate) fn forget(&mut self, id: u32) {
         self.cache.retain(|_, c| c.material.id != id);
     }
-}
-
-/// Footnote-2 fusion sites of an assigned plan: every Encrypt folded
-/// into its parent Select when the predicate is fusible *and* both
-/// nodes run under the same subject — that executor already sees the
-/// Encrypt's plaintext input, so filtering first reveals nothing.
-fn fusion_sites(plan: &QueryPlan, assignment: &HashMap<NodeId, SubjectId>) -> HashSet<NodeId> {
-    plan.postorder()
-        .into_iter()
-        .filter_map(|id| {
-            let enc_id = fused_encrypt_child(plan, id)?;
-            let same = assignment.get(&id)? == assignment.get(&enc_id)?;
-            same.then_some(enc_id)
-        })
-        .collect()
 }

@@ -39,17 +39,19 @@
 //!    batched per subject-pair edge, opened and verified by each
 //!    recipient;
 //! 4. **execute concurrently** — the participating subjects' [party
-//!    loops](runtime) wake; a node executes as soon as its operands'
-//!    tables have arrived at its assignee, so independent subtrees of
-//!    the extended plan run in parallel at different providers, over
-//!    real XTEA/OPE/Paillier ciphertexts; every table crossing a
+//!    loops](runtime) wake; each runs its share as segments, maximal
+//!    same-subject chains of the plan executed as one streaming
+//!    pipeline as soon as the tables at their cuts have arrived, so
+//!    independent subtrees of the extended plan run in parallel at
+//!    different providers, over real XTEA/OPE/Paillier ciphertexts;
+//!    every table crossing a
 //!    subject boundary is byte-accounted and [cell-audited](audit) by
 //!    the *receiving* party;
 //! 5. return a [`Report`] with the final (plaintext, for the user)
 //!    result and the bytes-on-the-wire per subject-pair edge.
 //!
-//! [`Session::execute_sequential`] interprets the same prepared plan
-//! bottom-up on the calling thread. The two paths share all of the
+//! [`Session::execute_sequential`] runs the same segments bottom-up on
+//! the calling thread. The two paths share all of the
 //! preparation (phases 1–3) and produce bit-identical results and
 //! per-edge byte counts — a property the differential tests lean on.
 //!

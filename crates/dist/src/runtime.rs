@@ -9,18 +9,27 @@
 //! query was one of the fixed per-run costs the session layer exists
 //! to amortize). Between queries a party sits idle on its mailbox;
 //! each query (a `QueryJob`, the output of the
-//! [coordinator core](crate::coordinator)) wakes the participating parties, and each steps a node of
-//! the extended plan as soon as all of its operands are materialized
-//! locally, so independent subtrees assigned to different subjects
-//! execute concurrently (pipeline parallelism across providers).
+//! [coordinator core](crate::coordinator)) wakes the participating
+//! parties, and each runs its share of the extended plan as
+//! *segments* — maximal same-subject chains, cut where the parent
+//! runs at another subject or is a join/product. A segment starts as
+//! soon as the tables at its cuts are materialized locally and runs as
+//! one streaming pipeline, so independent subtrees assigned to
+//! different subjects execute concurrently (pipeline parallelism
+//! across providers) and every join starts once both operands exist.
+//! A same-subject Select-over-Encrypt is never cut, so the engine's
+//! pipeline fuses it (footnote 2) without any help from here; that
+//! executor already sees the Encrypt's plaintext input, so filtering
+//! first reveals nothing.
 //!
 //! Guarantees relative to the sequential interpreter
 //! ([`Session::execute_sequential`](crate::Session::execute_sequential)):
 //!
-//! * **result equivalence** — every node executes under a fresh
-//!   per-node [`ExecCtx`] exactly as in the sequential path, so the
-//!   produced tables (ciphertexts included) are bit-identical
-//!   regardless of interleaving;
+//! * **result equivalence** — every segment executes under a fresh
+//!   [`ExecCtx`] exactly as in the sequential path, and ciphertexts
+//!   are a function of `(seed, node, column, row)`, so the produced
+//!   tables (ciphertexts included) are bit-identical regardless of
+//!   interleaving;
 //! * **identical byte accounting** — tables are accounted on the same
 //!   producer → consumer edges, by the receiving party; request
 //!   envelopes are sealed (batched per subject-pair edge) before any
@@ -62,12 +71,10 @@ use crate::transport::{
     FaultState, InProcTransport, TcpHub, TcpTransport, Transport, TransportError, Wire, WireStats,
 };
 use crate::{Party, Report, TransportKind};
-use mpq_algebra::{AttrId, Catalog, NodeId, QueryPlan, SubjectId};
+use mpq_algebra::{AttrId, Catalog, NodeId, Operator, QueryPlan, SubjectId};
 use mpq_core::authz::SubjectView;
 use mpq_crypto::rsa::{RsaPublic, SignedEnvelope};
-use mpq_exec::{
-    effective_children, execute_step, node_ready_fused, ExecCtx, SchemePlan, Table, WorkerPool,
-};
+use mpq_exec::{execute_step, ExecCtx, SchemePlan, Table, WorkerPool};
 use std::collections::{HashMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
@@ -150,9 +157,6 @@ pub(crate) struct JobSpec {
     pub(crate) key_of_attr: HashMap<AttrId, u32>,
     /// Node → executing subject.
     pub(crate) assignment: HashMap<NodeId, SubjectId>,
-    /// Footnote-2 fusion sites: Encrypt nodes folded into their parent
-    /// Select. These never execute as standalone steps.
-    pub(crate) fused: HashSet<NodeId>,
     /// The querying user.
     pub(crate) user: SubjectId,
     /// Base seed for per-(node, column, row) encryption randomness.
@@ -164,14 +168,72 @@ pub(crate) struct JobSpec {
     pub(crate) timeout: Option<Duration>,
 }
 
+/// One piece of a party's share: a maximal chain of plan nodes
+/// assigned to one subject, run as a single streaming pipeline. Chains
+/// are cut only where the parent runs at another subject and where the
+/// parent is a `Join`/`Product`, so a segment reads nothing but the
+/// tables materialized at its cuts, and every join starts as soon as
+/// both of its operands exist.
+pub(crate) struct Segment {
+    /// The chain's topmost node; its table is the segment's output.
+    pub(crate) root: NodeId,
+    /// The subject executing every node of the chain.
+    pub(crate) subject: SubjectId,
+    /// Materialized operands: the roots of the segments feeding this one.
+    pub(crate) inputs: Vec<NodeId>,
+    /// Who receives the output: the parent's assignee, or the querying
+    /// user for the plan root.
+    pub(crate) consumer: SubjectId,
+}
+
+/// Cut an assigned plan into its segments, ordered by the postorder of
+/// their roots: every segment comes after the segments feeding it.
+/// Every reachable node must be assigned.
+pub(crate) fn segments(
+    plan: &QueryPlan,
+    assignment: &HashMap<NodeId, SubjectId>,
+    user: SubjectId,
+) -> Vec<Segment> {
+    let parents = plan.parents();
+    let cut = |id: NodeId| match parents[id.index()] {
+        None => true,
+        Some(p) => {
+            assignment[&p] != assignment[&id]
+                || matches!(plan.node(p).op, Operator::Join { .. } | Operator::Product)
+        }
+    };
+    let segment = |root: NodeId| {
+        let mut inputs = Vec::new();
+        let mut chain = vec![root];
+        while let Some(id) = chain.pop() {
+            for &c in &plan.node(id).children {
+                if cut(c) {
+                    inputs.push(c);
+                } else {
+                    chain.push(c);
+                }
+            }
+        }
+        Segment {
+            root,
+            subject: assignment[&root],
+            inputs,
+            consumer: parents[root.index()].map_or(user, |p| assignment[&p]),
+        }
+    };
+    plan.postorder()
+        .into_iter()
+        .filter(|&id| cut(id))
+        .map(segment)
+        .collect()
+}
+
 /// Everything the parties need to execute one query, shared immutably
 /// by all participants.
 pub(crate) struct QueryJob {
     pub(crate) spec: JobSpec,
-    /// Execution order (postorder of the plan).
-    pub(crate) order: Vec<NodeId>,
-    /// Parent of each node of the plan (by node index).
-    pub(crate) parents: Vec<Option<NodeId>>,
+    /// The plan cut into per-subject segments (see [`segments`]).
+    pub(crate) segments: Vec<Segment>,
     /// Participating subjects (every assignee plus the querying user),
     /// ascending by subject id.
     pub(crate) participants: Vec<SubjectId>,
@@ -189,27 +251,25 @@ pub(crate) struct QueryJob {
 
 impl QueryJob {
     /// The one way to build a job, for in-proc sessions, the
-    /// coordinator's own share and remote servers alike: order,
-    /// parents and participants all follow from the spec.
+    /// coordinator's own share and remote servers alike: segments and
+    /// participants both follow from the spec.
     pub(crate) fn new(
         spec: JobSpec,
         user_public: RsaPublic,
         envelopes: Vec<(SubjectId, SignedEnvelope, Vec<u8>)>,
         pool: WorkerPool,
     ) -> QueryJob {
-        let order = spec.plan.postorder();
-        let parents = spec.plan.parents();
-        let mut participants: Vec<SubjectId> = order
+        let segments = segments(&spec.plan, &spec.assignment, spec.user);
+        let mut participants: Vec<SubjectId> = segments
             .iter()
-            .filter_map(|id| spec.assignment.get(id).copied())
+            .map(|seg| seg.subject)
             .chain([spec.user])
             .collect();
         participants.sort_by_key(|s| s.index());
         participants.dedup();
         QueryJob {
             spec,
-            order,
-            parents,
+            segments,
             participants,
             user_public,
             envelopes,
@@ -505,8 +565,8 @@ fn party_main(
 }
 
 /// Execute this party's share of one query epoch: verify the signed
-/// request envelopes addressed to us, then step every assigned node as
-/// its operands materialize, routing outputs to their consumers.
+/// request envelopes addressed to us, then run every segment of ours
+/// as its operands materialize, routing outputs to their consumers.
 ///
 /// Transport-agnostic: outputs leave through `wire` (in-proc mailbox
 /// senders or framed TCP), inputs arrive on the party's own mailbox
@@ -531,8 +591,8 @@ pub(crate) fn run_query(
     // Nothing executes until every request envelope addressed to this
     // party has opened and verified: the signed request *is* the
     // authorization to compute (`[[q_S, keys]_priU]_pubS`), exactly as
-    // the sequential path verifies all envelopes before stepping any
-    // node.
+    // the sequential path verifies all envelopes before running any
+    // segment.
     for (to, envelope, expected) in &job.envelopes {
         if *to != me {
             continue;
@@ -544,24 +604,14 @@ pub(crate) fn run_query(
         }
     }
 
-    // My assigned nodes, in global postorder. Footnote-2 fused
-    // Encrypts never execute as standalone steps: their parent Select
-    // (same assignee by construction) filters on the plaintext input
-    // and encrypts only the survivors.
-    let fused = &spec.fused;
-    let my_nodes: Vec<NodeId> = job
-        .order
+    // My segments, in global postorder of their roots. External tables
+    // this party waits for: operands of its segments produced
+    // elsewhere, plus the root delivery when it is the user and
+    // somebody else computes the root.
+    let mine: Vec<&Segment> = job.segments.iter().filter(|s| s.subject == me).collect();
+    let mut pending = mine
         .iter()
-        .copied()
-        .filter(|id| spec.assignment[id] == me && !fused.contains(id))
-        .collect();
-    // External tables this party waits for: operands of its nodes
-    // produced elsewhere (looking through fused Encrypts to the
-    // plaintext inputs actually consumed), plus the root delivery when
-    // it is the user and somebody else computes the root.
-    let mut pending = my_nodes
-        .iter()
-        .flat_map(|&id| effective_children(plan, id, fused))
+        .flat_map(|seg| &seg.inputs)
         .filter(|c| spec.assignment[c] != me)
         .count();
     if me == spec.user && spec.assignment[&root] != me {
@@ -570,7 +620,7 @@ pub(crate) fn run_query(
 
     let mut transfers: HashMap<(SubjectId, SubjectId), usize> = HashMap::new();
     let mut results: HashMap<NodeId, Table> = HashMap::new();
-    let mut executed: Vec<bool> = vec![false; my_nodes.len()];
+    let mut executed: Vec<bool> = vec![false; mine.len()];
     let mut result_table: Option<Table> = None;
     // Sequence numbers already consumed, per producing subject: a
     // sender recovering from an ambiguous delivery failure re-sends
@@ -590,77 +640,63 @@ pub(crate) fn run_query(
     let mut inbox = inbox.into_iter();
 
     loop {
-        // Step every node whose operands have materialized. A finished
-        // node may unblock a later one of ours, so loop to fixpoint.
-        let mut progress = true;
-        while progress {
-            progress = false;
-            for (done, &id) in executed.iter_mut().zip(&my_nodes) {
-                if *done || !node_ready_fused(plan, id, &results, fused) {
-                    continue;
+        // Run every segment whose operands have materialized. Segments
+        // are in postorder, so one pass also runs every local segment
+        // a finished one unblocks; only an arriving table can unblock
+        // more.
+        for (done, seg) in executed.iter_mut().zip(&mine) {
+            if *done || !seg.inputs.iter().all(|c| results.contains_key(c)) {
+                continue;
+            }
+            // A fresh context per segment; ciphertexts are a function
+            // of (seed, node, column, row), so they come out
+            // bit-identical no matter the interleaving.
+            let exec_ctx = ExecCtx::builder(
+                &st.catalog,
+                &party.store,
+                &party.ring,
+                &spec.schemes,
+                &spec.key_of_attr,
+            )
+            .pool(job.pool.clone())
+            .seed(spec.exec_seed)
+            .build();
+            let table = match execute_step(plan, seg.root, &mut results, &exec_ctx) {
+                Ok(t) => t,
+                Err(e) => {
+                    broadcast_abort(wire, epoch, &job.participants, me);
+                    return Outcome::Failed(e.into());
                 }
-                // Fresh per-node context, exactly as the sequential
-                // interpreter builds one per step: ciphertexts come out
-                // bit-identical no matter the interleaving.
-                let exec_ctx = ExecCtx::builder(
-                    &st.catalog,
-                    &party.store,
-                    &party.ring,
-                    &spec.schemes,
-                    &spec.key_of_attr,
-                )
-                .pool(job.pool.clone())
-                .seed(spec.exec_seed)
-                .build();
-                let table = match execute_step(plan, id, &mut results, &exec_ctx) {
-                    Ok(t) => t,
-                    Err(e) => {
-                        broadcast_abort(wire, epoch, &job.participants, me);
-                        return Outcome::Failed(e.into());
-                    }
-                };
-                *done = true;
-                progress = true;
-                if id == root {
-                    if me == spec.user {
-                        // Even a user-computed result is audited, as in
-                        // the sequential path.
-                        if let Err(e) = audit_transfer_with(&table, my_view, &job.pool) {
-                            broadcast_abort(wire, epoch, &job.participants, me);
-                            return Outcome::Failed(e);
-                        }
-                        result_table = Some(table);
-                    } else if let Err(e) = wire.send(
-                        spec.user,
-                        epoch,
-                        Msg::Result {
-                            from: me,
-                            seq: 0,
-                            table,
-                        },
-                    ) {
-                        broadcast_abort(wire, epoch, &job.participants, me);
-                        return Outcome::Failed(SimError::Transport(e));
+            };
+            *done = true;
+            let sent = if seg.consumer != me {
+                let msg = if seg.root == root {
+                    Msg::Result {
+                        from: me,
+                        seq: 0,
+                        table,
                     }
                 } else {
-                    let parent = job.parents[id.index()].expect("non-root has a parent");
-                    let consumer = spec.assignment[&parent];
-                    if consumer == me {
-                        results.insert(id, table);
-                    } else if let Err(e) = wire.send(
-                        consumer,
-                        epoch,
-                        Msg::Table {
-                            node: id,
-                            from: me,
-                            seq: 0,
-                            table,
-                        },
-                    ) {
-                        broadcast_abort(wire, epoch, &job.participants, me);
-                        return Outcome::Failed(SimError::Transport(e));
+                    Msg::Table {
+                        node: seg.root,
+                        from: me,
+                        seq: 0,
+                        table,
                     }
-                }
+                };
+                wire.send(seg.consumer, epoch, msg)
+                    .map_err(SimError::Transport)
+            } else if seg.root == root {
+                // Even a user-computed result is audited, as in the
+                // sequential path.
+                audit_transfer_with(&table, my_view, &job.pool).map(|()| result_table = Some(table))
+            } else {
+                results.insert(seg.root, table);
+                Ok(())
+            };
+            if let Err(e) = sent {
+                broadcast_abort(wire, epoch, &job.participants, me);
+                return Outcome::Failed(e);
             }
         }
 
@@ -750,5 +786,141 @@ pub(crate) fn run_query(
             }
             Msg::Abort => return Outcome::Aborted,
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use mpq_core::candidates::candidates;
+    use mpq_core::capability::CapabilityPolicy;
+    use mpq_core::extend::{minimally_extend, Assignment, ExtendedPlan};
+    use mpq_core::fixtures::RunningExample;
+    use mpq_core::subjects::Subjects;
+    use mpq_planner::{build_scenario, optimize, Scenario, Strategy};
+
+    /// Each segment as `root@assignee->consumer(inputs)`, by operator
+    /// and subject name, checking that the chains partition the plan.
+    fn describe(ext: &ExtendedPlan, subjects: &Subjects, user: SubjectId) -> Vec<String> {
+        let plan = &ext.plan;
+        let segs = segments(plan, &ext.assignment, user);
+        let chained: usize = segs
+            .iter()
+            .map(|seg| {
+                let mut nodes = 0;
+                let mut chain = vec![seg.root];
+                while let Some(id) = chain.pop() {
+                    nodes += 1;
+                    let inner = plan.node(id).children.iter();
+                    chain.extend(inner.filter(|c| !seg.inputs.contains(c)));
+                }
+                nodes
+            })
+            .sum();
+        assert_eq!(
+            chained,
+            plan.postorder().len(),
+            "segments partition the plan"
+        );
+        segs.iter()
+            .map(|seg| {
+                let inputs: Vec<_> = seg.inputs.iter().map(|&c| plan.node(c).op.name()).collect();
+                format!(
+                    "{}@{}->{}({})",
+                    plan.node(seg.root).op.name(),
+                    subjects.name(seg.subject),
+                    subjects.name(seg.consumer),
+                    inputs.join(",")
+                )
+            })
+            .collect()
+    }
+
+    #[test]
+    fn fig7_segments_cut_at_subjects_and_join_operands() {
+        let ex = RunningExample::new();
+        let user = ex.subject("U");
+        // Fig. 7(a): H (scan → σ → encrypt) and I (scan → encrypt)
+        // each run one chain, X joins and groups, Y filters the groups.
+        assert_eq!(
+            describe(&ex.fig7a_extended(), &ex.subjects, user),
+            [
+                "encrypt@H->X()",
+                "encrypt@I->X()",
+                "γ@X->Y(encrypt,encrypt)",
+                "σᵧ@Y->U(γ)"
+            ]
+        );
+        // Fig. 7(b): H's selection ships in plaintext to Z.
+        let cands = candidates(
+            &ex.plan,
+            &ex.catalog,
+            &ex.policy,
+            &ex.subjects,
+            &CapabilityPolicy::default(),
+            true,
+        );
+        let mut a = Assignment::new();
+        for (node, s) in [
+            ("select_d", "H"),
+            ("join", "Z"),
+            ("group", "Z"),
+            ("having", "Y"),
+        ] {
+            a.set(ex.node(node), ex.subject(s));
+        }
+        let fig7b = minimally_extend(
+            &ex.plan,
+            &ex.catalog,
+            &ex.policy,
+            &ex.subjects,
+            &cands,
+            &a,
+            Some(user),
+        )
+        .expect("fig7b assignment is drawn from Λ");
+        assert_eq!(
+            describe(&fig7b, &ex.subjects, user),
+            [
+                "σ@H->Z()",
+                "encrypt@I->Z()",
+                "γ@Z->Y(σ,encrypt)",
+                "σᵧ@Y->U(γ)"
+            ]
+        );
+    }
+
+    #[test]
+    fn tpch_segments_follow_the_optimized_assignment() {
+        let cat = mpq_tpch::tpch_catalog();
+        let stats = mpq_tpch::tpch_stats(&cat, 1.0);
+        let env = build_scenario(&cat, Scenario::UAPenc);
+        let cap = CapabilityPolicy::tpch_evaluation();
+        let describe_q = |q| {
+            let plan = mpq_tpch::query_plan(&cat, q);
+            let opt = optimize(&plan, &cat, &stats, &env, &cap, Strategy::CostDp).expect("plans");
+            describe(&opt.extended, &env.subjects, env.user)
+        };
+        // Q1's five nodes run at A1 as one pipeline.
+        assert_eq!(describe_q(1), ["sort@A1->U()"]);
+        // Q5's 31 nodes: every join starts as soon as both operands
+        // exist, so each join operand is its own segment.
+        assert_eq!(
+            describe_q(5),
+            [
+                "encrypt@A2->X()",
+                "π@A2->A2()",
+                "Base@A2->A2()",
+                "encrypt@A2->X(π,Base)",
+                "encrypt@A1->X()",
+                "π@X->X(encrypt,encrypt)",
+                "encrypt@A1->X()",
+                "π@X->X(π,encrypt)",
+                "encrypt@A1->X()",
+                "π@X->X(π,encrypt)",
+                "π@X->U(encrypt,π)",
+                "decrypt@U->U(π)"
+            ]
+        );
     }
 }

@@ -44,7 +44,7 @@ use mpq_core::subjects::Subjects;
 use mpq_crypto::keyring::{ClusterKey, KeyRing};
 use mpq_crypto::paillier::PaillierPublic;
 use mpq_crypto::rsa::{RsaKeypair, RsaPublic};
-use mpq_exec::{effective_children, execute_step, Database, ExecCtx, Table};
+use mpq_exec::{execute_step, Database, ExecCtx, Table};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::HashMap;
@@ -53,8 +53,8 @@ use std::time::Duration;
 
 /// Every runtime knob of a [`Session`] (and of a
 /// [`Coordinator`](crate::Coordinator)) in one builder: seed, worker
-/// pool, static pre-flight, transport, receive timeout, faults, retry
-/// and fusion.
+/// pool, static pre-flight, transport, receive timeout, faults and
+/// retry.
 ///
 /// # Example
 ///
@@ -92,12 +92,6 @@ pub struct SessionConfig {
     /// Bounded per-message retry with seeded backoff, applied to every
     /// data-plane send (real failures and injected ones alike).
     pub retry: RetryPolicy,
-    /// Footnote-2 filter-before-encrypt fusion: a `Select` directly
-    /// above an `Encrypt` assigned to the *same* subject evaluates the
-    /// condition on the plaintext input and encrypts only the
-    /// surviving tuples (on by default; results and per-edge bytes are
-    /// bit-identical either way).
-    pub fuse: bool,
 }
 
 impl SessionConfig {
@@ -112,7 +106,6 @@ impl SessionConfig {
             timeout: None,
             faults: None,
             retry: RetryPolicy::default(),
-            fuse: true,
         }
     }
 
@@ -150,13 +143,6 @@ impl SessionConfig {
     /// Override the per-message retry budget and backoff.
     pub fn retry(mut self, retry: RetryPolicy) -> SessionConfig {
         self.retry = retry;
-        self
-    }
-
-    /// Enable or disable footnote-2 filter-before-encrypt fusion
-    /// (the fusion-differential tests compare both settings).
-    pub fn fuse(mut self, on: bool) -> SessionConfig {
-        self.fuse = on;
         self
     }
 
@@ -346,7 +332,8 @@ impl Session {
     ///
     /// This is the **concurrent** runtime: the long-lived party threads
     /// wake, exchange result tables over their mailboxes, and every
-    /// node executes as soon as its operands arrive at its assignee
+    /// segment (a same-subject chain of the plan) runs as one pipeline
+    /// as soon as the tables at its cuts arrive at its assignee
     /// (see [`runtime`](crate::runtime)). Results and per-edge byte
     /// counts are bit-identical to [`Session::execute_sequential`].
     ///
@@ -390,25 +377,18 @@ impl Session {
             }
         }
 
-        // ---- bottom-up execution, one subject at a time -------------
+        // ---- bottom-up execution, one segment at a time -------------
         let mut transfers = request_bytes.clone();
         let mut results: HashMap<NodeId, Table> = HashMap::new();
-        for &id in &job.order {
-            // Footnote-2 fused Encrypts never execute as standalone
-            // steps: their parent Select filters the plaintext input
-            // and encrypts only the survivors.
-            if spec.fused.contains(&id) {
-                continue;
-            }
-            let executor = spec.assignment[&id];
+        for seg in &job.segments {
+            let executor = seg.subject;
             // Tables produced by another subject cross the wire here:
             // account the bytes and audit every cell against the
-            // receiving subject's view. Fused Encrypts are looked
-            // through to the plaintext operands actually consumed.
-            for child in effective_children(&spec.plan, id, &spec.fused) {
-                let producer = spec.assignment[&child];
+            // receiving subject's view.
+            for input in &seg.inputs {
+                let producer = spec.assignment[input];
+                let table = results.get(input).expect("segments run in postorder");
                 if producer != executor {
-                    let table = results.get(&child).expect("child executed before parent");
                     audit::audit_transfer_with(table, &views[executor.index()], &job.pool)?;
                     *transfers.entry((producer, executor)).or_default() += table.byte_size();
                 }
@@ -424,8 +404,8 @@ impl Session {
             .pool(job.pool.clone())
             .seed(spec.exec_seed)
             .build();
-            let table = execute_step(&spec.plan, id, &mut results, &ctx)?;
-            results.insert(id, table);
+            let table = execute_step(&spec.plan, seg.root, &mut results, &ctx)?;
+            results.insert(seg.root, table);
         }
 
         // ---- deliver the result to the user --------------------------

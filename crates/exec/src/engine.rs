@@ -37,7 +37,7 @@ use mpq_crypto::schemes::{
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 /// Execution errors.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -154,12 +154,6 @@ pub struct ExecCtx<'a> {
     /// Rows per streamed batch (pipelined operators hold at most this
     /// many rows at a time).
     pub batch_rows: usize,
-    /// Footnote-2 reordering: when a `Select` sits directly on an
-    /// `Encrypt` and the predicate is [`fusible`](fused_encrypt_child),
-    /// evaluate the condition on the plaintext input and encrypt only
-    /// the surviving tuples — at their *original* row offsets, so the
-    /// ciphertexts are bit-identical to filter-after-encrypt.
-    pub fuse_filter_encrypt: bool,
 }
 
 /// Builder for [`ExecCtx`]: the five shared references are positional
@@ -173,7 +167,6 @@ pub struct ExecCtxBuilder<'a> {
     seed: u64,
     pool: WorkerPool,
     batch_rows: usize,
-    fuse_filter_encrypt: bool,
 }
 
 impl<'a> ExecCtxBuilder<'a> {
@@ -199,15 +192,6 @@ impl<'a> ExecCtxBuilder<'a> {
         self
     }
 
-    /// Enable or disable footnote-2 filter-before-encrypt fusion
-    /// (default: enabled). Disabling reproduces the literal
-    /// encrypt-then-filter plan order; results and ciphertexts are
-    /// identical either way.
-    pub fn fuse_filter_encrypt(mut self, on: bool) -> Self {
-        self.fuse_filter_encrypt = on;
-        self
-    }
-
     /// Finish the context.
     pub fn build(self) -> ExecCtx<'a> {
         ExecCtx {
@@ -219,7 +203,6 @@ impl<'a> ExecCtxBuilder<'a> {
             seed: self.seed,
             pool: self.pool,
             batch_rows: self.batch_rows,
-            fuse_filter_encrypt: self.fuse_filter_encrypt,
         }
     }
 }
@@ -242,7 +225,6 @@ impl<'a> ExecCtx<'a> {
             seed: DEFAULT_SEED,
             pool: WorkerPool::global(),
             batch_rows: DEFAULT_BATCH_ROWS,
-            fuse_filter_encrypt: true,
         }
     }
 
@@ -356,94 +338,50 @@ where
 /// Execute a whole plan as one streaming pipeline, returning the root
 /// table.
 pub fn execute(plan: &QueryPlan, ctx: &ExecCtx<'_>) -> Result<Table, ExecError> {
-    let mut inputs = HashMap::new();
-    compile_node(plan, plan.root(), &mut inputs, true, ctx)?.collect()
+    execute_step(plan, plan.root(), &mut HashMap::new(), ctx)
 }
 
-/// Execute a single node against already-materialized child results.
+/// Execute the subtree under `id` as one streaming pipeline, reading
+/// every node that has a table in `results` as a materialized operand
+/// (consumed) instead of compiling it.
 ///
-/// This is the stepping API used by the distributed simulator
-/// (`mpq-dist`), which runs every node under the [`ExecCtx`] — key
-/// ring, base-relation store — of the *subject assigned to it* rather
-/// than one global context. Children of `id` are consumed from
-/// `results`; the caller inserts the returned table under `id` before
-/// stepping any parent. Within the step, child tables are re-streamed
-/// in `ctx.batch_rows` slices, so the step's working set beyond its
-/// inputs stays batch-bounded.
+/// This is the segment API of the distributed runtime (`mpq-dist`),
+/// which runs each same-subject chain of the plan under the
+/// [`ExecCtx`] — key ring, base-relation store — of the *subject
+/// assigned to it*, over the tables materialized where the chain was
+/// cut. Materialized operands are re-streamed in `ctx.batch_rows`
+/// slices, so the working set beyond them stays batch-bounded; a
+/// footnote-2 Select-over-Encrypt inside the compiled part is fused,
+/// one whose Encrypt is materialized filters the ciphertext as is.
 pub fn execute_step(
     plan: &QueryPlan,
     id: NodeId,
     results: &mut HashMap<NodeId, Table>,
     ctx: &ExecCtx<'_>,
 ) -> Result<Table, ExecError> {
-    compile_node(plan, id, results, false, ctx)?.collect()
+    compile_node(plan, id, results, ctx)?.collect()
 }
 
-/// `true` when every operand of `id` has a materialized table in
-/// `results` — the readiness test a distributed party loop polls
-/// before stepping a node with [`execute_step`]. Leaves are always
-/// ready.
-pub fn node_ready(plan: &QueryPlan, id: NodeId, results: &HashMap<NodeId, Table>) -> bool {
-    plan.node(id)
-        .children
-        .iter()
-        .all(|c| results.contains_key(c))
-}
-
-/// The operands `id` actually consumes when the Encrypt nodes in
-/// `fused` are folded into their parent Selects (footnote 2): a fused
-/// child contributes its *own* children — the plaintext inputs the
-/// combined filter-then-encrypt step reads — instead of itself.
-pub fn effective_children(plan: &QueryPlan, id: NodeId, fused: &HashSet<NodeId>) -> Vec<NodeId> {
-    let mut out = Vec::new();
-    for &c in &plan.node(id).children {
-        if fused.contains(&c) {
-            out.extend(plan.node(c).children.iter().copied());
-        } else {
-            out.push(c);
-        }
-    }
-    out
-}
-
-/// [`node_ready`] under footnote-2 fusion: a Select whose Encrypt
-/// child is fused is ready once the Encrypt's own operands are — the
-/// Encrypt itself never materializes.
-pub fn node_ready_fused(
-    plan: &QueryPlan,
-    id: NodeId,
-    results: &HashMap<NodeId, Table>,
-    fused: &HashSet<NodeId>,
-) -> bool {
-    effective_children(plan, id, fused)
-        .iter()
-        .all(|c| results.contains_key(c))
-}
-
-/// Resolve child `k` of `id` as a stream: a materialized result when
-/// one exists (stepping mode), otherwise — in pipeline mode — the
-/// recursively compiled child operator.
+/// Resolve child `k` of `id` as a stream: its materialized result when
+/// one exists, otherwise the recursively compiled child operator.
 fn child_stream<'p>(
     plan: &'p QueryPlan,
     id: NodeId,
     k: usize,
     inputs: &mut HashMap<NodeId, Table>,
-    recurse: bool,
     ctx: &'p ExecCtx<'p>,
 ) -> Result<BatchStream<'p>, ExecError> {
     let cid = plan.node(id).children[k];
-    if let Some(t) = inputs.remove(&cid) {
-        return Ok(scan_owned(t, ctx.batch_rows));
+    match inputs.remove(&cid) {
+        Some(t) => Ok(scan_owned(t, ctx.batch_rows)),
+        None => compile_node(plan, cid, inputs, ctx),
     }
-    assert!(recurse, "child executed before parent");
-    compile_node(plan, cid, inputs, recurse, ctx)
 }
 
 fn compile_node<'p>(
     plan: &'p QueryPlan,
     id: NodeId,
     inputs: &mut HashMap<NodeId, Table>,
-    recurse: bool,
     ctx: &'p ExecCtx<'p>,
 ) -> Result<BatchStream<'p>, ExecError> {
     let node = plan.node(id);
@@ -482,7 +420,7 @@ fn compile_node<'p>(
             })
         }
         Operator::Project { attrs } => {
-            let child = child_stream(plan, id, 0, inputs, recurse, ctx)?;
+            let child = child_stream(plan, id, 0, inputs, ctx)?;
             let indices: Vec<usize> = attrs
                 .iter()
                 .map(|a| {
@@ -516,17 +454,17 @@ fn compile_node<'p>(
             }))
         }
         Operator::Select { pred } => {
-            // Footnote-2 fusion: when the child Encrypt has not been
-            // materialized (pipeline mode, or a stepping caller that
-            // deliberately skipped it), evaluate the condition on the
-            // plaintext input and encrypt only the survivors.
-            if ctx.fuse_filter_encrypt && !inputs.contains_key(&node.children[0]) {
+            // Footnote-2 fusion: when the child Encrypt is compiled in
+            // this pipeline rather than materialized, evaluate the
+            // condition on the plaintext input and encrypt only the
+            // survivors.
+            if !inputs.contains_key(&node.children[0]) {
                 if let Some(enc_id) = fused_encrypt_child(plan, id) {
                     let Operator::Encrypt { attrs } = &plan.node(enc_id).op else {
                         unreachable!("fused_encrypt_child returns Encrypt nodes");
                     };
                     // Grandchild stream: the Encrypt's plaintext input.
-                    let child = child_stream(plan, enc_id, 0, inputs, recurse, ctx)?;
+                    let child = child_stream(plan, enc_id, 0, inputs, ctx)?;
                     // Crypto plans keyed to the *Encrypt* node id, so
                     // every ciphertext draws from the same seed stream
                     // as the unfused plan order.
@@ -536,14 +474,14 @@ fn compile_node<'p>(
                     return Ok(fused_filter_encrypt_stream(child, pred, plans, ctx));
                 }
             }
-            let child = child_stream(plan, id, 0, inputs, recurse, ctx)?;
+            let child = child_stream(plan, id, 0, inputs, ctx)?;
             let schema = child.schema.clone();
             Ok(map_stream(child, schema.clone(), move |batch| {
                 filter_batch(pred, &schema, batch, None, ctx)
             }))
         }
         Operator::Having { pred } => {
-            let child = child_stream(plan, id, 0, inputs, recurse, ctx)?;
+            let child = child_stream(plan, id, 0, inputs, ctx)?;
             // Extended plans may splice Decrypt/Encrypt between the
             // HAVING and its GROUP BY; both preserve the row layout.
             let agg_base = match &plan.node(plan.through_crypto(node.children[0])).op {
@@ -560,8 +498,8 @@ fn compile_node<'p>(
             }))
         }
         Operator::Product => {
-            let mut left = child_stream(plan, id, 0, inputs, recurse, ctx)?;
-            let right = child_stream(plan, id, 1, inputs, recurse, ctx)?;
+            let mut left = child_stream(plan, id, 0, inputs, ctx)?;
+            let right = child_stream(plan, id, 1, inputs, ctx)?;
             let mut attrs = left.schema.attrs().to_vec();
             attrs.extend(right.schema.attrs().iter().copied());
             let schema = TableSchema::new(attrs);
@@ -597,12 +535,12 @@ fn compile_node<'p>(
             })
         }
         Operator::Join { kind, on, residual } => {
-            let left = child_stream(plan, id, 0, inputs, recurse, ctx)?;
-            let right = child_stream(plan, id, 1, inputs, recurse, ctx)?;
+            let left = child_stream(plan, id, 0, inputs, ctx)?;
+            let right = child_stream(plan, id, 1, inputs, ctx)?;
             join_stream(*kind, on, residual.as_ref(), left, right, ctx)
         }
         Operator::GroupBy { keys, aggs } => {
-            let child = child_stream(plan, id, 0, inputs, recurse, ctx)?;
+            let child = child_stream(plan, id, 0, inputs, ctx)?;
             let mut attrs: Vec<AttrId> = keys.to_vec();
             attrs.extend(aggs.iter().map(|a| a.output));
             let schema = TableSchema::new(attrs);
@@ -618,7 +556,7 @@ fn compile_node<'p>(
             body,
             ..
         } => {
-            let child = child_stream(plan, id, 0, inputs, recurse, ctx)?;
+            let child = child_stream(plan, id, 0, inputs, ctx)?;
             let body = body
                 .as_ref()
                 .ok_or_else(|| ExecError::Unsupported("opaque udf cannot be executed".into()))?;
@@ -632,18 +570,18 @@ fn compile_node<'p>(
             ))
         }
         Operator::Encrypt { attrs } => {
-            let child = child_stream(plan, id, 0, inputs, recurse, ctx)?;
+            let child = child_stream(plan, id, 0, inputs, ctx)?;
             let plans = crypto_plans(attrs, &child.schema, id, ctx)?;
             Ok(crypto_stream(child, plans, true, ctx))
         }
         Operator::Decrypt { attrs } => {
-            let child = child_stream(plan, id, 0, inputs, recurse, ctx)?;
+            let child = child_stream(plan, id, 0, inputs, ctx)?;
             let plans = crypto_plans(attrs, &child.schema, id, ctx)?;
             Ok(crypto_stream(child, plans, false, ctx))
         }
         Operator::Sort { keys } => {
             let agg_base = sort_agg_base(plan, id);
-            let child = child_stream(plan, id, 0, inputs, recurse, ctx)?;
+            let child = child_stream(plan, id, 0, inputs, ctx)?;
             let schema = child.schema.clone();
             let keys = keys.to_vec();
             Ok(blocking_stream(schema, ctx.batch_rows, move || {
@@ -651,7 +589,7 @@ fn compile_node<'p>(
             }))
         }
         Operator::Limit { n } => {
-            let mut child = child_stream(plan, id, 0, inputs, recurse, ctx)?;
+            let mut child = child_stream(plan, id, 0, inputs, ctx)?;
             let schema = child.schema.clone();
             let mut remaining = *n as usize;
             Ok(BatchStream {
@@ -757,9 +695,9 @@ fn pred_fusible(e: &Expr, enc: &AttrSet) -> bool {
 /// Footnote-2 eligibility, decided on plan shape alone: when `id` is a
 /// `Select` sitting directly on an `Encrypt` and the predicate is
 /// fusible w.r.t. the encrypted attributes, returns the Encrypt's
-/// `NodeId`. The same test drives the engine's fused stream, the
-/// distributed runtimes' node-skipping, and the cost model's
-/// post-selection pricing credit — one definition, three users.
+/// `NodeId`. The same test drives the engine's fused stream and the
+/// cost model's post-selection pricing credit — one definition, two
+/// users.
 pub fn fused_encrypt_child(plan: &QueryPlan, id: NodeId) -> Option<NodeId> {
     let Operator::Select { pred } = &plan.node(id).op else {
         return None;
@@ -2246,16 +2184,22 @@ mod tests {
         );
         assert!(fused_encrypt_child(&plan, plan.root()).is_some());
 
-        let fused_ctx = ExecCtx::new(&cat, &db, &keys, &schemes, &koa);
-        let unfused_ctx = ExecCtx::builder(&cat, &db, &keys, &schemes, &koa)
-            .fuse_filter_encrypt(false)
-            .build();
-        let fused = execute(&plan, &fused_ctx).unwrap();
-        let unfused = execute(&plan, &unfused_ctx).unwrap();
+        let ctx = ExecCtx::new(&cat, &db, &keys, &schemes, &koa);
+        let fused = execute(&plan, &ctx).unwrap();
+        // The row oracle filters *after* encrypting, in plan order.
+        let unfused = crate::rowref::execute_ref(&plan, &ctx).unwrap();
         assert_eq!(fused.len(), 3, "three stroke rows survive");
         // Byte-identical: surviving ciphertexts keep their original
         // row offsets, so even the Random-scheme S cells match.
         assert_eq!(fused, unfused);
+        // A materialized Encrypt is filtered as ciphertext, unfused.
+        let mut results = HashMap::new();
+        let encrypted = execute_step(&plan, enc, &mut results, &ctx).unwrap();
+        results.insert(enc, encrypted);
+        assert_eq!(
+            execute_step(&plan, plan.root(), &mut results, &ctx).unwrap(),
+            unfused
+        );
 
         // And under a batch size that splits the selection mid-table.
         let tiny = ExecCtx::builder(&cat, &db, &keys, &schemes, &koa)

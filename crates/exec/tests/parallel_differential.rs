@@ -17,9 +17,10 @@
 use mpq_algebra::value::EncScheme;
 use mpq_algebra::{AttrId, Catalog, CmpOp, Date, Expr, JoinKind, Operator, QueryPlan, Value};
 use mpq_crypto::keyring::{ClusterKey, KeyRing};
+use mpq_crypto::schemes::encrypt_value;
 use mpq_exec::pool::WorkerPool;
 use mpq_exec::rowref::execute_ref;
-use mpq_exec::{execute, Database, ExecCtx, SchemePlan, Table};
+use mpq_exec::{execute, execute_step, Database, ExecCtx, SchemePlan, Table};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -206,19 +207,60 @@ fn outer_residual_plan(cat: &Catalog) -> (QueryPlan, SchemePlan, HashMap<AttrId,
     (plan, SchemePlan::default(), HashMap::new())
 }
 
+/// Footnote 2: a Select directly over an Encrypt, comparing against
+/// an encrypted literal, under a projection. Compiled together, the
+/// Select filters the plaintext and encrypts only the survivors; with
+/// the Encrypt materialized it filters the ciphertext.
+fn fused_select_plan(cat: &Catalog) -> (QueryPlan, SchemePlan, HashMap<AttrId, u32>) {
+    let s = cat.attr("S").unwrap();
+    let b = cat.attr("B").unwrap();
+    let d = cat.attr("D").unwrap();
+    let hosp = cat.relation("Hosp").unwrap().rel;
+    let mut rng = StdRng::seed_from_u64(5);
+    let flu = encrypt_value(
+        &mut rng,
+        &Value::str("flu"),
+        EncScheme::Deterministic,
+        &key(),
+    )
+    .expect("literal encrypts");
+    let mut plan = QueryPlan::new();
+    let h = plan.add_base(hosp, vec![s, b, d]);
+    let enc = plan.add(Operator::Encrypt { attrs: vec![s, d] }, vec![h]);
+    let sel = plan.add(
+        Operator::Select {
+            pred: Expr::Cmp(Box::new(Expr::Col(d)), CmpOp::Eq, Box::new(Expr::Lit(flu))),
+        },
+        vec![enc],
+    );
+    plan.add(Operator::Project { attrs: vec![s, b] }, vec![sel]);
+    let mut schemes = SchemePlan::default();
+    schemes.set(s, EncScheme::Random);
+    schemes.set(d, EncScheme::Deterministic);
+    let mut koa = HashMap::new();
+    koa.insert(s, 1u32);
+    koa.insert(d, 1u32);
+    (plan, schemes, koa)
+}
+
 fn pick_plan(cat: &Catalog, ix: usize) -> (QueryPlan, SchemePlan, HashMap<AttrId, u32>) {
     match ix {
         0 => crypto_plan(cat),
         1 => row_ops_plan(cat),
         2 => agg_sort_plan(cat),
         3 => mixed_form_plan(cat),
-        _ => outer_residual_plan(cat),
+        4 => outer_residual_plan(cat),
+        _ => fused_select_plan(cat),
     }
+}
+
+fn key() -> ClusterKey {
+    ClusterKey::generate(&mut StdRng::seed_from_u64(99), 1, 256)
 }
 
 fn ring() -> KeyRing {
     let ring = KeyRing::new();
-    ring.insert(ClusterKey::generate(&mut StdRng::seed_from_u64(99), 1, 256));
+    ring.insert(key());
     ring
 }
 
@@ -314,5 +356,43 @@ proptest! {
         let streamed = execute(&plan, &ctx).expect("streaming run");
         let oracle = execute_ref(&plan, &ctx).expect("oracle run");
         prop_assert_eq!(&streamed, &oracle);
+    }
+
+    /// Partial materialization ≡ one pipeline: with any subset of
+    /// nodes already materialized (bottom-up, each consuming the
+    /// materialized nodes below it), `execute_step` at the root reads
+    /// those tables, compiles the rest, and produces exactly what
+    /// `execute` and the row oracle produce — the contract a
+    /// distributed party's segments rely on.
+    #[test]
+    fn partial_materialization_matches_pipeline(
+        rows in 30usize..120,
+        data_seed in any::<u64>(),
+        enc_seed in any::<u64>(),
+        workers in 1usize..6,
+        batch_rows in 1usize..97,
+        plan_ix in 0usize..6,
+        mask in any::<u64>(),
+    ) {
+        let cat = Catalog::paper_running_example();
+        let db = load(&cat, rows, data_seed);
+        let (plan, schemes, koa) = pick_plan(&cat, plan_ix);
+        let ring = ring();
+        let ctx = ExecCtx::builder(&cat, &db, &ring, &schemes, &koa)
+            .seed(enc_seed)
+            .pool(WorkerPool::new(workers))
+            .batch_rows(batch_rows)
+            .build();
+        let mut results = HashMap::new();
+        for id in plan.postorder() {
+            if id != plan.root() && mask >> (id.index() % 64) & 1 == 1 {
+                let table = execute_step(&plan, id, &mut results, &ctx).expect("step runs");
+                results.insert(id, table);
+            }
+        }
+        let stepped = execute_step(&plan, plan.root(), &mut results, &ctx).expect("root runs");
+        prop_assert!(results.is_empty(), "every materialized operand consumed");
+        prop_assert_eq!(&stepped, &execute(&plan, &ctx).expect("streaming run"));
+        prop_assert_eq!(&stepped, &execute_ref(&plan, &ctx).expect("oracle run"));
     }
 }

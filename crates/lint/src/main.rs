@@ -28,6 +28,12 @@
 //!   `dist/src/codec.rs` sizes through `r.cap(..)`, which clamps a
 //!   length read off the wire to the bytes left in the frame: a forged
 //!   row or element count must fail to decode, not allocate gigabytes.
+//! * **fusion-confinement** — `fused_encrypt_child`, the footnote-2
+//!   filter-before-encrypt test, appears only in
+//!   `exec/src/engine.rs`, which fuses when a pipeline compiles a
+//!   Select together with its Encrypt, and in its priced mirror
+//!   `planner/src/cost.rs`: any other caller would be a second
+//!   fusion decision that can drift from the engine's.
 //!
 //! The scan strips comments and string literals and skips
 //! `#[cfg(test)]` modules, so documentation and tests may freely
@@ -95,6 +101,13 @@ const WIRE_CAPACITY_FILE: &str = "crates/dist/src/codec.rs";
 /// The one sanctioned argument of a decoder `with_capacity(`: the
 /// `Reader`'s clamp to the bytes left in the frame.
 const WIRE_CAPACITY_CLAMP: &str = "r.cap(";
+
+/// The footnote-2 fusion test: one decision in the engine, one price
+/// for it in the cost model.
+const FUSION_TOKEN: &str = "fused_encrypt_child";
+
+/// The files that may name [`FUSION_TOKEN`].
+const FUSION_ALLOWED: [&str; 2] = ["crates/exec/src/engine.rs", "crates/planner/src/cost.rs"];
 
 /// Tokens that break run-to-run determinism.
 const DETERMINISM_TOKENS: [&str; 5] = [
@@ -432,6 +445,7 @@ fn lint_file(root: &Path, path: &Path, findings: &mut Vec<Finding>) {
     let spawn_allowed = SPAWN_ALLOWED.iter().any(|a| rel == Path::new(a));
     let protocol_confined = rel.starts_with(PROTOCOL_SCOPE) && rel != Path::new(PROTOCOL_ALLOWED);
     let wire_decoder = rel == Path::new(WIRE_CAPACITY_FILE);
+    let fusion_allowed = FUSION_ALLOWED.iter().any(|a| rel == Path::new(a));
     if engine_scoped {
         lint_retry_budgets(rel, &cleaned, &skip, findings);
     }
@@ -507,6 +521,16 @@ fn lint_file(root: &Path, path: &Path, findings: &mut Vec<Finding>) {
                     );
                 }
             }
+        }
+        if !fusion_allowed && line.contains(FUSION_TOKEN) {
+            record(
+                findings,
+                "fusion-confinement",
+                format!(
+                    "`{FUSION_TOKEN}` outside engine.rs/cost.rs — footnote-2 fusion \
+                     is decided by the engine's pipeline and priced by the cost model only"
+                ),
+            );
         }
         if wire_decoder {
             for arg in line.split("with_capacity(").skip(1) {
@@ -721,6 +745,56 @@ mod tests {
         lint_file(&dir, &rel_dir.join("session.rs"), &mut findings);
         let rules: Vec<(&str, usize)> = findings.iter().map(|f| (f.rule, f.line)).collect();
         assert_eq!(rules, vec![("wire-capacity", 5)], "{rules:?}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn fusion_decisions_outside_the_engine_are_flagged() {
+        let src = "
+fn sites(plan: &QueryPlan) { let e = fused_encrypt_child(plan, id); }
+#[cfg(test)]
+mod tests {
+    fn t() { assert!(fused_encrypt_child(&plan, root).is_some()); }
+}
+";
+        let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+            .join("target")
+            .join("lint-fusion-fixture");
+        let files = [
+            "crates/exec/src/engine.rs",
+            "crates/planner/src/cost.rs",
+            "crates/exec/src/lib.rs",
+            "crates/dist/src/coordinator.rs",
+        ];
+        for name in files {
+            let path = dir.join(name);
+            std::fs::create_dir_all(path.parent().expect("fixture parent")).expect("fixture dir");
+            std::fs::write(path, src).unwrap();
+        }
+        let mut findings = Vec::new();
+        for name in files {
+            lint_file(&dir, &dir.join(name), &mut findings);
+        }
+        let flagged: Vec<(String, &str, usize)> = findings
+            .iter()
+            .map(|f| (f.file.display().to_string(), f.rule, f.line))
+            .collect();
+        assert_eq!(
+            flagged,
+            vec![
+                (
+                    "crates/exec/src/lib.rs".to_string(),
+                    "fusion-confinement",
+                    2
+                ),
+                (
+                    "crates/dist/src/coordinator.rs".to_string(),
+                    "fusion-confinement",
+                    2
+                ),
+            ],
+            "{flagged:?}"
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 

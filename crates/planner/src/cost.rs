@@ -134,10 +134,11 @@ fn tuple_work(plan: &QueryPlan, id: NodeId, est: &[Estimate], book: &PriceBook) 
 /// at the same subject, the assignee filters the plaintext first and
 /// encrypts only the surviving rows (at their original offsets, so the
 /// ciphertexts are bit-identical). The credit here is gated on the
-/// *same* predicate the engine uses ([`mpq_exec::fused_encrypt_child`]
-/// plus the same-assignee check mirrored from
-/// `mpq_dist::coordinator`'s `fusion_sites`), so the model prices precisely
-/// the plan the engine runs — an earlier version of this credit
+/// *same* predicate the engine uses ([`mpq_exec::engine::fused_encrypt_child`])
+/// plus the same-assignee check, which is exactly when `mpq_dist`'s
+/// runtime compiles both nodes into one segment's pipeline. The model
+/// thus prices precisely the plan the engine runs — an earlier version
+/// of this credit
 /// applied it to every same-subject selection whether or not the
 /// engine reordered, collapsing the q3/q6/q12 CostDp-vs-all-at-user
 /// pairs into dishonest model ties.
@@ -148,7 +149,7 @@ fn effective_encrypt_rows(
     assignment: &HashMap<NodeId, SubjectId>,
 ) -> f64 {
     for p in plan.postorder() {
-        if mpq_exec::fused_encrypt_child(plan, p) == Some(id)
+        if mpq_exec::engine::fused_encrypt_child(plan, p) == Some(id)
             && assignment.get(&p) == assignment.get(&id)
         {
             return est[p.index()].rows;
@@ -556,7 +557,7 @@ mod tests {
         // attribute, so the engine fuses when Select and Encrypt share
         // an assignee: priced at the filtered cardinality. A
         // cross-subject selection cannot fuse: full input priced.
-        assert!(mpq_exec::fused_encrypt_child(&plan, sel).is_some());
+        assert!(mpq_exec::engine::fused_encrypt_child(&plan, sel).is_some());
         let same_subject = cost_with_select_at(h);
         let cross_subject = cost_with_select_at(user);
         let scheme = schemes.scheme_of(s);
@@ -588,7 +589,7 @@ mod tests {
             vec![e2],
         );
         plan2.add(Operator::Project { attrs: vec![s, d] }, vec![sel2]);
-        assert!(mpq_exec::fused_encrypt_child(&plan2, sel2).is_none());
+        assert!(mpq_exec::engine::fused_encrypt_child(&plan2, sel2).is_none());
         let est2 = crate::stats::estimates_for(&plan2, &ex.catalog, &stats);
         let profiles2 = mpq_core::profile::profile_plan(&plan2);
         let schemes2 = mpq_exec::assign_schemes(&plan2).unwrap();

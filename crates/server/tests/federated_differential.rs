@@ -10,9 +10,7 @@
 //! * under control-plane resets and truncations, recovery redials and
 //!   the repeat run still returns the same rows;
 //! * a server that restarts between two queries gets every cached key
-//!   replayed on reconnect, so the repeat run needs no re-provisioning;
-//! * `SessionConfig::fuse` reaches the servers: fused and unfused runs
-//!   move identical rows and per-edge data bytes.
+//!   replayed on reconnect, so the repeat run needs no re-provisioning.
 //!
 //! Servers run in this process on loopback TCP (one thread each), except
 //! in the restart test, which needs a server it can kill.
@@ -321,28 +319,6 @@ fn repeat_run_survives_control_plane_resets_and_truncations() {
             coordinator.stats().clusters_provisioned,
             case.keys.keys.len()
         );
-    }
-}
-
-#[test]
-fn fusion_setting_reaches_the_servers() {
-    for case in cases().into_iter().skip(1) {
-        let name = case.name;
-        let runs: Vec<Report> = [true, false]
-            .into_iter()
-            .map(|fuse| {
-                let mut fed = Federation::start(&case.world, SessionConfig::new(SEED).fuse(fuse));
-                fed.coordinator()
-                    .execute(&case.ext, &case.keys)
-                    .expect("federated run")
-            })
-            .collect();
-        assert_eq!(
-            runs[0].result.to_rows(),
-            runs[1].result.to_rows(),
-            "{name}: rows"
-        );
-        assert_eq!(runs[0].data_bytes(), runs[1].data_bytes(), "{name}: bytes");
     }
 }
 

@@ -7,22 +7,33 @@
 //! every surviving cell is bit-identical to the unfused run and the
 //! reordering is observationally invisible.
 //!
+//! Fusion needs no switch: a party runs each same-subject chain of its
+//! share as one pipeline, so a same-assignee Select-over-Encrypt is
+//! always compiled together and always fused. The unfused oracle is the
+//! same extended plan with an identity `Project` spliced between the
+//! Select and its Encrypt, at the same assignee: the Select then filters
+//! ciphertext, in plan order, with every node id (and so every
+//! ciphertext seed) unchanged.
+//!
 //! These tests sweep Λ assignments of the running example to find
 //! extended plans that actually contain fusion sites (the Fig. 7(a)
 //! fixture assignment does not produce one — the spliced Encrypt lands
 //! above the selection), then differentially execute each such plan
-//! with fusion on and off across both runtimes, demanding identical
-//! decrypted rows and *exactly equal* per-edge byte counts. The pinned
-//! before/after delta for every swept plan — including the Fig. 7(a)
-//! fixture itself — is 0 bytes.
+//! against its oracle across both runtimes, demanding identical
+//! decrypted rows, request counts and *exactly equal* per-edge data
+//! bytes. The pinned before/after delta for every swept plan —
+//! including the Fig. 7(a) fixture itself — is 0 bytes.
 
+use mpq::algebra::{AttrId, NodeId, Operator, QueryPlan};
 use mpq::core::candidates::{candidates, Candidates};
 use mpq::core::capability::CapabilityPolicy;
 use mpq::core::extend::{minimally_extend, Assignment, ExtendedPlan};
 use mpq::core::fixtures::RunningExample;
 use mpq::core::keys::plan_keys;
-use mpq::dist::{Report, Session, SessionConfig};
-use mpq::exec::{fused_encrypt_child, Database};
+use mpq::core::profile::profile_plan;
+use mpq::dist::{Report, Session};
+use mpq::exec::engine::fused_encrypt_child;
+use mpq::exec::Database;
 use proptest::prelude::*;
 
 fn sample_db(ex: &RunningExample) -> Database {
@@ -44,9 +55,9 @@ fn lambda(ex: &RunningExample) -> Candidates {
 }
 
 /// The fusion sites of an extended plan: Encrypt nodes whose parent
-/// Select is fusible (engine predicate) and shares their assignee.
-/// This mirrors `mpq_dist::coordinator`'s fusion sites from the outside.
-fn fusion_sites(ext: &ExtendedPlan) -> Vec<mpq::algebra::NodeId> {
+/// Select is fusible (engine predicate) and shares their assignee, so
+/// both land in the same segment.
+fn fusion_sites(ext: &ExtendedPlan) -> Vec<NodeId> {
     let mut out = Vec::new();
     for id in ext.plan.postorder() {
         if let Some(enc_id) = fused_encrypt_child(&ext.plan, id) {
@@ -55,6 +66,40 @@ fn fusion_sites(ext: &ExtendedPlan) -> Vec<mpq::algebra::NodeId> {
             }
         }
     }
+    out
+}
+
+/// The engine's output column order of `id`.
+fn columns(plan: &QueryPlan, id: NodeId) -> Vec<AttrId> {
+    let node = plan.node(id);
+    match &node.op {
+        Operator::Base { attrs, .. } | Operator::Project { attrs } => attrs.clone(),
+        Operator::GroupBy { keys, aggs } => keys
+            .iter()
+            .copied()
+            .chain(aggs.iter().map(|a| a.output))
+            .collect(),
+        Operator::Join { .. } | Operator::Product => node
+            .children
+            .iter()
+            .flat_map(|&c| columns(plan, c))
+            .collect(),
+        Operator::Udf { .. } => unreachable!("the running example has no UDF"),
+        _ => columns(plan, node.children[0]),
+    }
+}
+
+/// The unfused oracle of `ext`: an identity `Project` spliced above
+/// every fusion site's Encrypt, at its assignee.
+fn unfused(ext: &ExtendedPlan) -> ExtendedPlan {
+    let mut out = ext.clone();
+    for enc in fusion_sites(ext) {
+        let attrs = columns(&out.plan, enc);
+        let project = out.plan.splice_above(enc, Operator::Project { attrs });
+        out.assignment.insert(project, ext.assignment[&enc]);
+    }
+    out.profiles = profile_plan(&out.plan);
+    assert!(fusion_sites(&out).is_empty());
     out
 }
 
@@ -96,18 +141,16 @@ fn all_extensions(ex: &RunningExample, cands: &Candidates) -> Vec<ExtendedPlan> 
         .collect()
 }
 
-fn run_pair(
+fn run(
     ex: &RunningExample,
     db: &Database,
     ext: &ExtendedPlan,
     seed: u64,
     sequential: bool,
-    fuse: bool,
 ) -> Report {
     let keys = plan_keys(ext);
     let user = ex.subject("U");
-    let config = SessionConfig::new(seed).fuse(fuse);
-    let mut sim = Session::open_with(&ex.catalog, &ex.subjects, &ex.policy, db, config);
+    let mut sim = Session::open(&ex.catalog, &ex.subjects, &ex.policy, db, seed);
     if sequential {
         sim.execute_sequential(ext, &keys, user)
             .expect("authorized run")
@@ -126,9 +169,8 @@ fn assert_identical(fused: &Report, plain: &Report) {
     }
     // Footnote 2 must never *increase* any per-edge byte count; with
     // original-offset ciphertexts it in fact changes none of them.
-    assert_eq!(&fused.transfers, &plain.transfers);
+    assert_eq!(fused.data_bytes(), plain.data_bytes());
     assert_eq!(fused.requests, plain.requests);
-    assert_eq!(fused.total_bytes(), plain.total_bytes());
 }
 
 /// Λ of the running example contains assignments whose minimal
@@ -156,9 +198,10 @@ fn fusion_sites_exist_and_reordering_is_invisible() {
 
     // Differentially execute a bounded sample of the fused plans.
     for ext in fused_exts.iter().take(6) {
+        let oracle = unfused(ext);
         for sequential in [true, false] {
-            let fused = run_pair(&ex, &db, ext, 7, sequential, true);
-            let plain = run_pair(&ex, &db, ext, 7, sequential, false);
+            let fused = run(&ex, &db, ext, 7, sequential);
+            let plain = run(&ex, &db, &oracle, 7, sequential);
             assert_identical(&fused, &plain);
         }
     }
@@ -174,8 +217,8 @@ fn fig7a_before_after_byte_delta_is_zero() {
     let db = sample_db(&ex);
     let ext = ex.fig7a_extended();
 
-    let fused = run_pair(&ex, &db, &ext, 2026, true, true);
-    let plain = run_pair(&ex, &db, &ext, 2026, true, false);
+    let fused = run(&ex, &db, &ext, 2026, true);
+    let plain = run(&ex, &db, &unfused(&ext), 2026, true);
     let delta = fused.total_bytes() as i64 - plain.total_bytes() as i64;
     assert_eq!(delta, 0, "footnote-2 reordering changed Fig. 7(a) bytes");
     assert_identical(&fused, &plain);
@@ -184,9 +227,9 @@ fn fig7a_before_after_byte_delta_is_zero() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// Random data, random Λ assignment, random seed: fusion on vs off
-    /// is observationally identical — same decrypted rows, same bytes
-    /// on every edge — in the sequential reference interpreter.
+    /// Random data, random Λ assignment, random seed: the fused plan
+    /// and its unfused oracle are observationally identical — same
+    /// decrypted rows, same data bytes on every edge — in both runtimes.
     #[test]
     fn reordered_plans_are_bit_identical(
         seed in any::<u64>(),
@@ -234,15 +277,18 @@ proptest! {
         )
         .expect("assignments drawn from Λ extend (Theorem 5.2)");
 
-        let fused = run_pair(&ex, &db, &ext, seed, true, true);
-        let plain = run_pair(&ex, &db, &ext, seed, true, false);
-        prop_assert_eq!(fused.result.len(), plain.result.len());
-        for (a, b) in fused.result.to_rows().iter().zip(&plain.result.to_rows()) {
-            for (x, y) in a.iter().zip(b) {
-                prop_assert!(x.sql_eq(y), "cell diverged: {:?} vs {:?}", x, y);
+        let oracle = unfused(&ext);
+        for sequential in [true, false] {
+            let fused = run(&ex, &db, &ext, seed, sequential);
+            let plain = run(&ex, &db, &oracle, seed, sequential);
+            prop_assert_eq!(fused.result.len(), plain.result.len());
+            for (a, b) in fused.result.to_rows().iter().zip(&plain.result.to_rows()) {
+                for (x, y) in a.iter().zip(b) {
+                    prop_assert!(x.sql_eq(y), "cell diverged: {:?} vs {:?}", x, y);
+                }
             }
+            prop_assert_eq!(fused.data_bytes(), plain.data_bytes());
+            prop_assert_eq!(fused.requests, plain.requests);
         }
-        prop_assert_eq!(&fused.transfers, &plain.transfers);
-        prop_assert_eq!(fused.total_bytes(), plain.total_bytes());
     }
 }
